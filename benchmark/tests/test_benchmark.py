@@ -90,6 +90,21 @@ def test_timed_out_query_counts_as_failed_and_worker_recovers():
     assert worker.restarts == 0
 
 
+def test_dead_worker_counts_as_failed_and_is_restarted():
+    quick = Query("classes", ([4, 12],), "quick", (4, 12))
+    worker = run.Worker(WORKLOADS["primesets"])
+    try:
+        worker.proc.kill()
+        worker.proc.wait()
+        replies = run.closed_loop(worker, [quick, quick])
+    finally:
+        worker.finish()
+    killed, answered = run.grade(replies, Reference())
+    assert killed.status == "killed" and killed.failed
+    assert answered.status == "ok"
+    assert worker.restarts == 1
+
+
 def test_rejected_cli_input_counts_as_failed():
     query = Query("cli", (["check", "--degrees", "3", "--ring", "Z"],), "odd degree", (3,))
     reply = {"status": "ok", "elapsed": 0.0, "error": None,
