@@ -12,8 +12,11 @@ reference (reference.py) after the timed loop.
 --trace 0 reports the end-to-end metrics, measured with no wrappers
 installed.  --trace 1 runs the loop with the tracer (tracer.py) installed
 in the worker, reports the per-layer metrics, then replays the same queries
-untraced to report the tracing overhead.  The last line of standard output
-is one JSON object: correct, attempted, failed, metrics.
+untraced to report the tracing overhead.  Inputs known to fail at the
+parent commit (the hostile inputs of ``rings``) are asked after the timed
+loop in a worker of their own and reported apart, so that ``failed`` counts
+only the timed queries.  The last line of standard output is one JSON
+object: correct, attempted, failed, metrics.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ SRC = ROOT / "src"
 
 MEM_CAP_MB = 384  # address-space cap of the worker process only
 KILL_GRACE_S = 10.0  # past the time limit, the worker is killed and restarted
-SETUP_PROBES = 8  # extra workers started only to time set-up
+SETUP_PROBES = 14  # extra workers started only to time set-up
 TAIL_MIN_BEYOND = 10
 
 
@@ -251,6 +254,19 @@ def traced_run(workload, seed: int, seconds: float, reference, trace_file: str) 
     return outcomes, metrics, notes
 
 
+def probe_run(workload, reference) -> list[Outcome]:
+    """Ask the workload's known-failing inputs in a fresh, untraced worker."""
+    probes = workload.probes()
+    if not probes:
+        return []
+    worker = Worker(workload)
+    try:
+        replies = closed_loop(worker, probes)
+    finally:
+        worker.finish()
+    return grade(replies, reference)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -284,10 +300,15 @@ def main(argv=None) -> int:
         outcomes, metrics, notes = traced_run(workload, args.seed, args.seconds, reference, trace_file)
     else:
         outcomes, metrics, notes = measured_run(workload, args.seed, args.seconds, reference)
+    probed = probe_run(workload, reference)
+    probe_failures = [o for o in probed if o.failed]
+    if args.trace:
+        metrics["hostile.failed"] = (len(probe_failures), "count")
 
     attempted = len(outcomes)
     failures = [o for o in outcomes if o.failed]
-    wrong = [o for o in failures if o.status == "wrong"]
+    # A wrong verdict is wrong whether or not the query was timed.
+    wrong = [o for o in failures + probe_failures if o.status == "wrong"]
     print(f"workload {workload.name}, seed {args.seed}, {args.seconds:g} s, trace {args.trace}: "
           f"{attempted} attempted, {len(failures)} failed, {len(wrong)} wrong")
     if not args.trace:
@@ -299,6 +320,11 @@ def main(argv=None) -> int:
         print(f"  {note}")
     for o in failures:
         print(f"  failed [{o.status}] {o.query.label}: {o.detail}")
+    if probed:
+        print(f"  hostile inputs, asked after the timed loop: {len(probe_failures)} of "
+              f"{len(probed)} failed")
+    for o in probed:
+        print(f"  hostile [{o.status}] {o.query.label}: {o.detail or 'correct verdict'}")
 
     reported = {name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()
                 if name not in ("failed_share", "wrong_verdicts")}

@@ -90,6 +90,20 @@ def test_timed_out_query_counts_as_failed_and_worker_recovers():
     assert worker.restarts == 0
 
 
+def test_hostile_inputs_are_probed_apart_from_the_timed_queries():
+    rings = WORKLOADS["rings"]
+    hostile = {q.label for q in rings.probes()}
+    assert len(hostile) == 5
+    stream = run._stream(rings, 1)
+    assert not hostile & {next(stream).label for _ in range(500)}
+
+    slow = Query("classes", ([4, 6, 8, 10, 12, 14, 16, 18, 20, 3360],), "slow", ())
+    tight = Workload("tight", "test", time_limit_s=0.05, tail_percentile=50,
+                     stream=WORKLOADS["primesets"].stream, probes=lambda: [slow])
+    (outcome,) = run.probe_run(tight, Reference())
+    assert outcome.status == "timeout" and outcome.failed
+
+
 def test_dead_worker_counts_as_failed_and_is_restarted():
     quick = Query("classes", ([4, 12],), "quick", (4, 12))
     worker = run.Worker(WORKLOADS["primesets"])
