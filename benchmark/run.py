@@ -12,10 +12,10 @@ reference (reference.py) after the timed loop.
 --trace 0 reports the end-to-end metrics, measured with no wrappers
 installed.  --trace 1 runs the loop with the tracer (tracer.py) installed
 in the worker, reports the per-layer metrics, then replays the same queries
-untraced to report the tracing overhead.  Inputs known to fail at the
-parent commit (the hostile inputs of ``rings``) are asked after the timed
-loop in a worker of their own and reported apart, so that ``failed`` counts
-only the timed queries.  The last line of standard output is one JSON
+untraced to report the tracing overhead.  Inputs that failed when the
+benchmark was defined (the hostile inputs of ``rings``) are asked after the
+timed loop in a worker of their own and reported apart, so that ``failed``
+counts only the timed queries.  The last line of standard output is one JSON
 object: correct, attempted, failed, metrics.
 """
 

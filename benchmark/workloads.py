@@ -56,9 +56,10 @@ class Workload:
     stream: Callable[[random.Random], Iterator[Query]]
     # Queries asked once at the start of every run, before the stream.
     fixed: Callable[[random.Random], list[Query]] = field(default=lambda rng: [])
-    # Inputs known to fail at the parent commit, asked after the timed loop
-    # in a worker of their own: their outcomes are reported on their own, so
-    # that the timed queries are ones on which no operation fails.
+    # Inputs that failed when the benchmark was defined, asked after the
+    # timed loop in a worker of their own: their outcomes are reported on
+    # their own, so that the timed queries are ones on which no operation
+    # fails.
     probes: Callable[[], list[Query]] = field(default=lambda: [])
 
 
