@@ -1,4 +1,5 @@
-"""Small exact number-theory helpers: primality, divisors, checked lcm."""
+"""Small exact number-theory helpers: primality, factoring, divisors,
+checked lcm."""
 
 from __future__ import annotations
 
@@ -12,14 +13,23 @@ from .errors import ModulusOverflowError, NotAPrimeError
 # is reported instead of silently accepted.
 MAX_MODULUS = 2**63 - 1
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3 * 10^24,
-# which covers the whole 64-bit range with room to spare.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Witness set making Miller-Rabin deterministic for all n below
+# PRIME_TEST_BOUND (Sorenson and Webster, arXiv:1509.00864), which covers the
+# whole 64-bit range with room to spare.  Without 41 the bound would be
+# 3.2 * 10^23.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+# Trial divisors tried before Pollard-Brent rho, and its batch of products
+# per gcd.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_RHO_BATCH = 128
 
 
 @lru_cache(maxsize=65536)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses)."""
+    """Miller-Rabin with fixed witnesses: exact below PRIME_TEST_BOUND, a
+    strong probable-prime test above it."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -46,6 +56,12 @@ def is_prime(n: int) -> bool:
 
 
 def ensure_prime(p: int) -> int:
+    """``p`` if it is a prime that :func:`is_prime` decides exactly."""
+    if isinstance(p, int) and p >= PRIME_TEST_BOUND:
+        raise NotAPrimeError(
+            f"{p} is not below {PRIME_TEST_BOUND}, the bound up to which"
+            " primality is decided exactly"
+        )
     if not isinstance(p, int) or not is_prime(p):
         raise NotAPrimeError(f"{p!r} is not a prime number")
     return p
@@ -64,22 +80,57 @@ def primes_below(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if sieve[i])
 
 
+@lru_cache(maxsize=4096)
 def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of ``n`` >= 1, ascending (trial division)."""
+    """Distinct prime factors of ``n`` >= 1, ascending (trial division by
+    small primes, then Pollard-Brent rho)."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append(m)
-    return tuple(out)
+    out = set()
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            out.add(p)
+            while n % p == 0:
+                n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out.add(m)
+        else:
+            d = _rho_factor(m)
+            pending += (d, m // d)
+    return tuple(sorted(out))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the composite ``n``, which has no factor below
+    50 (Brent's cycle finding with batched gcds, polynomial x^2 + c for
+    c = 1, 2, ... until one splits n)."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
 
 
 def divisors(n: int) -> tuple[int, ...]:

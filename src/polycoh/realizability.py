@@ -27,7 +27,6 @@ from .residues import (
     class_contains_prime,
     covers_all_primes,
     intersect,
-    lift,
     normalize,
     prime_subset,
     union,
@@ -268,11 +267,20 @@ def _smallest_listed_prime(
 
 
 def _offending_class(classes: ResidueSet, ps: ResidueSet) -> tuple[int, int]:
-    """Smallest prime-bearing class of the difference classes \\ ps."""
-    l = checked_lcm(classes.modulus, ps.modulus)
-    for a in sorted(lift(classes, l) - lift(ps, l)):
-        if class_contains_prime(a, l):
-            return (a, l)
-    raise RuntimeError(  # pragma: no cover - guarded by prime_subset
-        "no offending class found although prime_subset failed"
-    )
+    """Smallest prime-bearing class of the difference classes \\ ps.
+
+    The classes mod L = lcm(M, N) over a mod M are a, a + M, ... below L;
+    each residue of ``classes`` is walked up to its first class that lies
+    outside ``ps`` and holds a prime, or to the best found so far.
+    """
+    m, n = classes.modulus, ps.modulus
+    l = checked_lcm(m, n)
+    best = None
+    for a in classes.residues:
+        for x in range(a, l if best is None else min(best, l), m):
+            if x % n not in ps.residues and class_contains_prime(x, l):
+                best = x
+                break
+    if best is None:  # pragma: no cover - guarded by prime_subset
+        raise RuntimeError("no offending class found although prime_subset failed")
+    return (best, l)

@@ -4,6 +4,7 @@ import pytest
 
 from polycoh.errors import ModulusOverflowError, NotAPrimeError
 from polycoh.ntheory import (
+    PRIME_TEST_BOUND,
     checked_lcm,
     divisors,
     ensure_prime,
@@ -86,3 +87,30 @@ def test_first_prime_in_class():
                 assert got == scan
             else:
                 assert got == scan  # at most one candidate either way
+
+
+def test_prime_factors_beyond_trial_division():
+    # products of two primes near 2^31 and squares of large primes need rho
+    assert prime_factors((2**31 - 1) * (2**31 - 19)) == (2**31 - 19, 2**31 - 1)
+    assert prime_factors(1000003**2) == (1000003,)
+    assert prime_factors(1000003**3 * 999983 * 12) == (2, 3, 999983, 1000003)
+    assert prime_factors(2**61 - 1) == (2**61 - 1,)
+    assert prime_factors(2**64 + 1) == (274177, 67280421310721)
+    smallest = list(range(3000))
+    for p in range(2, 55):
+        for m in range(p * p, 3000, p):
+            if smallest[m] == m:
+                smallest[m] = p
+    for n in range(1, 3000):
+        want, m = set(), n
+        while m > 1:
+            want.add(smallest[m])
+            m //= smallest[m]
+        assert prime_factors(n) == tuple(sorted(want))
+
+
+def test_ensure_prime_rejects_past_the_deterministic_bound():
+    assert ensure_prime(2**61 - 1) == 2**61 - 1
+    for p in (PRIME_TEST_BOUND, 2**89 - 1):  # 2^89 - 1 is a Mersenne prime
+        with pytest.raises(NotAPrimeError, match=str(PRIME_TEST_BOUND)):
+            ensure_prime(p)
