@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import operator
+import re
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .errors import CatalogError, InvalidParametersError, InvalidTypeError
@@ -101,21 +103,43 @@ class EntryInstance:
 
 @dataclass(frozen=True)
 class FamilyTemplate:
-    """A parametric catalog row: constraints, degree formula, prime condition.
+    """One catalog family, defined by this row alone.
 
-    The three text fields reproduce the row as documentation and travel with
-    the JSON form; the callables implement it.
+    ``pattern`` is the display name with one ``{}`` per parameter, each
+    shown times its ``scale`` (Spin(2n), D_2m); :func:`parse_entry_name`
+    matches the regular expression derived from it.  ``degrees``,
+    ``primes`` and ``check`` take the parameters as arguments; ``sweep``
+    yields every parameter tuple whose degrees can fit inside a target.
+    The three text fields document the row and travel with the JSON form;
+    a parameterless row's degree formula is its list of degrees.
     """
 
     ident: str
-    constraints: str
-    degree_formula: str
+    pattern: str
+    degrees: Callable[..., Iterable[int]]
+    primes: Callable[..., ResidueSet]
     prime_condition: str
-    check: Callable[[tuple[int, ...]], bool]
-    degrees: Callable[[tuple[int, ...]], tuple[int, ...]]
-    primes: Callable[[tuple[int, ...]], ResidueSet]
-    display: Callable[[tuple[int, ...]], str]
-    sweep: Callable[[DegreeMultiset], Iterator[tuple[int, ...]]]
+    degree_formula: str = ""
+    constraints: str = ""
+    check: Callable[..., bool] = lambda: True
+    sweep: Callable[[DegreeMultiset], Iterable[tuple[int, ...]]] = lambda target: [()]
+    scale: tuple[int, ...] = ()
+    name_re: re.Pattern = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Derived fields: parameters shown unscaled unless told otherwise,
+        # the degree list as a parameterless row's formula, and the pattern
+        # as a regular expression with one number per parameter.
+        arity = self.pattern.count("{}")
+        regex = re.escape(self.pattern).replace(r"\{\}", r"\s*(\d+)\s*")
+        object.__setattr__(self, "scale", self.scale or (1,) * arity)
+        object.__setattr__(self, "name_re", re.compile(regex))
+        if not self.degree_formula:
+            formula = ", ".join(map(str, self.degrees()))
+            object.__setattr__(self, "degree_formula", formula)
+
+    def display(self, params: tuple[int, ...]) -> str:
+        return self.pattern.format(*(p * s for p, s in zip(params, self.scale)))
 
 
 @dataclass(frozen=True)
@@ -127,172 +151,97 @@ class SporadicEntry:
     primes: ResidueSet
 
 
-def _su_degrees(n: int) -> tuple[int, ...]:
-    return tuple(range(4, 2 * n + 1, 2))
+_P_GE_3, _P_GE_5, _P_GE_7 = (from_min_prime(k) for k in (3, 5, 7))
 
-
-def _sp_degrees(n: int) -> tuple[int, ...]:
-    return tuple(range(4, 4 * n + 1, 4))
-
-
-def _spin_degrees(n: int) -> tuple[int, ...]:
-    return tuple(sorted([4 * i for i in range(1, n)] + [2 * n]))
-
-
-def _gmrn_degrees(m: int, r: int, n: int) -> tuple[int, ...]:
-    return tuple(sorted([2 * m * i for i in range(1, n)] + [2 * m * n // r]))
-
-
-def _fixed_family(
-    ident: str, degrees: tuple[int, ...], primes: ResidueSet, prime_text: str
-) -> FamilyTemplate:
-    """A parameterless row (circle and the exceptional Lie groups)."""
-    deg_ms = DegreeMultiset.of(degrees)
-
-    def sweep(target: DegreeMultiset) -> Iterator[tuple[int, ...]]:
-        if deg_ms.max_degree <= target.max_degree:
-            yield ()
-
-    return FamilyTemplate(
-        ident=ident,
-        constraints="",
-        degree_formula=", ".join(str(d) for d in degrees),
-        prime_condition=prime_text,
-        check=lambda params: params == (),
-        degrees=lambda params: degrees,
-        primes=lambda params: primes,
-        display=lambda params: ident,
-        sweep=sweep,
-    )
-
-
-def _build_families() -> tuple[FamilyTemplate, ...]:
-    all_p = ALL_PRIMES
-    p_ge_3 = from_min_prime(3)
-    p_ge_5 = from_min_prime(5)
-    p_ge_7 = from_min_prime(7)
-
-    def su_sweep(target: DegreeMultiset) -> Iterator[tuple[int, ...]]:
-        for n in range(2, target.max_degree // 2 + 1):
-            yield (n,)
-
-    su = FamilyTemplate(
+# The families, in catalog order.
+_FAMILIES = (
+    FamilyTemplate("S^1", "S^1", lambda: (2,), lambda: ALL_PRIMES, "all p"),
+    FamilyTemplate(
         ident="SU",
-        constraints="n >= 2",
+        pattern="SU({})",
+        degrees=lambda n: range(4, 2 * n + 1, 2),
+        primes=lambda n: ALL_PRIMES,
+        prime_condition="all p",
         degree_formula="4, 6, ..., 2n",
-        prime_condition="all p",
-        check=lambda p: len(p) == 1 and p[0] >= 2,
-        degrees=lambda p: _su_degrees(p[0]),
-        primes=lambda p: all_p,
-        display=lambda p: f"SU({p[0]})",
-        sweep=su_sweep,
-    )
-
-    def sp_sweep(target: DegreeMultiset) -> Iterator[tuple[int, ...]]:
-        for n in range(1, target.max_degree // 4 + 1):
-            yield (n,)
-
-    sp = FamilyTemplate(
+        constraints="n >= 2",
+        check=lambda n: n >= 2,
+        sweep=lambda t: product(range(2, t.max_degree // 2 + 1)),
+    ),
+    FamilyTemplate(
         ident="Sp",
-        constraints="n >= 1",
-        degree_formula="4, 8, ..., 4n",
+        pattern="Sp({})",
+        degrees=lambda n: range(4, 4 * n + 1, 4),
+        primes=lambda n: ALL_PRIMES,
         prime_condition="all p",
-        check=lambda p: len(p) == 1 and p[0] >= 1,
-        degrees=lambda p: _sp_degrees(p[0]),
-        primes=lambda p: all_p,
-        display=lambda p: f"Sp({p[0]})",
-        sweep=sp_sweep,
-    )
-
-    def spin_sweep(target: DegreeMultiset) -> Iterator[tuple[int, ...]]:
-        for n in range(3, target.max_degree // 2 + 1):
-            yield (n,)
-
-    spin = FamilyTemplate(
+        degree_formula="4, 8, ..., 4n",
+        constraints="n >= 1",
+        check=lambda n: n >= 1,
+        sweep=lambda t: product(range(1, t.max_degree // 4 + 1)),
+    ),
+    FamilyTemplate(
         ident="Spin",
-        constraints="n >= 3",
-        degree_formula="4, 8, ..., 4(n-1), 2n",
+        pattern="Spin({})",
+        scale=(2,),
+        degrees=lambda n: [4 * i for i in range(1, n)] + [2 * n],
+        primes=lambda n: _P_GE_3,
         prime_condition="p >= 3",
-        check=lambda p: len(p) == 1 and p[0] >= 3,
-        degrees=lambda p: _spin_degrees(p[0]),
-        primes=lambda p: p_ge_3,
-        display=lambda p: f"Spin({2 * p[0]})",
-        sweep=spin_sweep,
-    )
-
-    def gmrn_sweep(target: DegreeMultiset) -> Iterator[tuple[int, ...]]:
-        # 2m is always among the degrees and the instance has n of them.
-        for m in range(3, target.max_degree // 2 + 1):
-            for n in range(2, len(target) + 1):
-                for r in divisors(m):
-                    yield (m, r, n)
-
-    gmrn = FamilyTemplate(
+        degree_formula="4, 8, ..., 4(n-1), 2n",
+        constraints="n >= 3",
+        check=lambda n: n >= 3,
+        sweep=lambda t: product(range(3, t.max_degree // 2 + 1)),
+    ),
+    FamilyTemplate("G_2", "G_2", lambda: (4, 12), lambda: _P_GE_3, "p >= 3"),
+    FamilyTemplate("F_4", "F_4", lambda: (4, 12, 16, 24), lambda: _P_GE_5, "p >= 5"),
+    FamilyTemplate(
+        "E_6", "E_6", lambda: (4, 10, 12, 16, 18, 24), lambda: _P_GE_5, "p >= 5"
+    ),
+    FamilyTemplate(
+        "E_7", "E_7", lambda: (4, 12, 16, 20, 24, 28, 36), lambda: _P_GE_5, "p >= 5"
+    ),
+    FamilyTemplate(
+        "E_8", "E_8", lambda: (4, 16, 24, 28, 36, 40, 48, 60), lambda: _P_GE_7, "p >= 7"
+    ),
+    FamilyTemplate(
         ident="G(m,r,n)",
-        constraints="n >= 2, m >= 3, r | m",
+        pattern="G({},{},{})",
+        degrees=lambda m, r, n: [2 * m * i for i in range(1, n)] + [2 * m * n // r],
+        primes=lambda m, r, n: normalize(make(m, (1,))),
+        prime_condition="p == 1 (mod m)",
         degree_formula="2m, 4m, ..., 2(n-1)m, 2mn/r",
-        prime_condition="p == 1 (mod m)",
-        check=lambda p: len(p) == 3
-        and p[2] >= 2
-        and p[0] >= 3
-        and p[1] >= 1
-        and p[0] % p[1] == 0,
-        degrees=lambda p: _gmrn_degrees(*p),
-        primes=lambda p: normalize(make(p[0], (1,))),
-        display=lambda p: f"G({p[0]},{p[1]},{p[2]})",
-        sweep=gmrn_sweep,
-    )
-
-    def dihedral_sweep(target: DegreeMultiset) -> Iterator[tuple[int, ...]]:
-        for m in range(5, target.max_degree // 2 + 1):
-            if m != 6:
-                yield (m,)
-
-    dihedral = FamilyTemplate(
+        constraints="n >= 2, m >= 3, r | m",
+        check=lambda m, r, n: n >= 2 and m >= 3 and r >= 1 and m % r == 0,
+        # 2m is always among the degrees and the instance has n of them.
+        sweep=lambda t: (
+            (m, r, n)
+            for m in range(3, t.max_degree // 2 + 1)
+            for n in range(2, len(t) + 1)
+            for r in divisors(m)
+        ),
+    ),
+    FamilyTemplate(
         ident="D",
-        constraints="m >= 5, m != 6",
-        degree_formula="4, 2m",
+        pattern="D_{}",
+        scale=(2,),
+        degrees=lambda m: (4, 2 * m),
+        primes=lambda m: normalize(make(m, (1, m - 1))),
         prime_condition="p == +-1 (mod m)",
-        check=lambda p: len(p) == 1 and p[0] >= 5 and p[0] != 6,
-        degrees=lambda p: (4, 2 * p[0]),
-        primes=lambda p: normalize(make(p[0], (1, p[0] - 1))),
-        display=lambda p: f"D_{2 * p[0]}",
-        sweep=dihedral_sweep,
-    )
-
-    def cyclic_sweep(target: DegreeMultiset) -> Iterator[tuple[int, ...]]:
-        for m in range(3, target.max_degree // 2 + 1):
-            yield (m,)
-
-    cyclic = FamilyTemplate(
+        degree_formula="4, 2m",
+        constraints="m >= 5, m != 6",
+        check=lambda m: m >= 5 and m != 6,
+        sweep=lambda t: ((m,) for m in range(5, t.max_degree // 2 + 1) if m != 6),
+    ),
+    FamilyTemplate(
         ident="C",
-        constraints="m >= 3",
-        degree_formula="2m",
+        pattern="C_{}",
+        degrees=lambda m: (2 * m,),
+        primes=lambda m: normalize(make(m, (1,))),
         prime_condition="p == 1 (mod m)",
-        check=lambda p: len(p) == 1 and p[0] >= 3,
-        degrees=lambda p: (2 * p[0],),
-        primes=lambda p: normalize(make(p[0], (1,))),
-        display=lambda p: f"C_{p[0]}",
-        sweep=cyclic_sweep,
-    )
-
-    return (
-        _fixed_family("S^1", (2,), all_p, "all p"),
-        su,
-        sp,
-        spin,
-        _fixed_family("G_2", (4, 12), p_ge_3, "p >= 3"),
-        _fixed_family("F_4", (4, 12, 16, 24), p_ge_5, "p >= 5"),
-        _fixed_family("E_6", (4, 10, 12, 16, 18, 24), p_ge_5, "p >= 5"),
-        _fixed_family("E_7", (4, 12, 16, 20, 24, 28, 36), p_ge_5, "p >= 5"),
-        _fixed_family("E_8", (4, 16, 24, 28, 36, 40, 48, 60), p_ge_7, "p >= 7"),
-        gmrn,
-        dihedral,
-        cyclic,
-    )
-
-
-_FAMILIES = _build_families()
+        degree_formula="2m",
+        constraints="m >= 3",
+        check=lambda m: m >= 3,
+        sweep=lambda t: product(range(3, t.max_degree // 2 + 1)),
+    ),
+)
 _FAMILY_BY_IDENT = {f.ident: f for f in _FAMILIES}
 
 # name, degrees, (modulus, residues), optionally an excluded prime
@@ -350,51 +299,48 @@ class Catalog:
     def __hash__(self) -> int:
         return hash((tuple(f.ident for f in self.families), self.sporadics))
 
-    def _sporadic(self, name: str) -> SporadicEntry | None:
-        for sp in self.sporadics:
-            if sp.name == name:
-                return sp
-        return None
+    @cached_property
+    def _rows(self) -> dict[str, FamilyTemplate | SporadicEntry]:
+        families = {f.ident: f for f in self.families}
+        return families | {sp.name: sp for sp in self.sporadics}
+
+    def _row(self, name: str) -> FamilyTemplate | SporadicEntry:
+        """The family or sporadic row called ``name``."""
+        row = self._rows.get(name)
+        if row is None:
+            raise InvalidParametersError(f"{name!r} is not in this catalog")
+        return row
 
     def instance(self, family: str, params: Iterable[int] = ()) -> EntryInstance:
         """Validated entry instance for a family identifier and parameters."""
         params = tuple(params)
-        sp = self._sporadic(family)
-        if sp is not None:
+        row = self._row(family)
+        if isinstance(row, SporadicEntry):
             if params:
                 raise InvalidParametersError(f"{family} takes no parameters")
-            return EntryInstance(family, (), sp.name)
-        fam = next((f for f in self.families if f.ident == family), None)
-        if fam is None:
-            raise InvalidParametersError(f"unknown catalog family {family!r}")
-        if not fam.check(params):
+            return EntryInstance(family, (), family)
+        if len(params) != len(row.scale) or not row.check(*params):
             raise InvalidParametersError(
                 f"parameters {params} violate the constraints of {family}"
-                + (f" ({fam.constraints})" if fam.constraints else "")
+                + (f" ({row.constraints})" if row.constraints else "")
             )
-        return EntryInstance(fam.ident, params, fam.display(params))
+        return EntryInstance(family, params, row.display(params))
 
     def lookup(self, name: str) -> EntryInstance:
         """Parse a display name such as 'SU(5)', 'G(6,3,2)' or 'G_24'."""
         return self.instance(*parse_entry_name(name))
 
     def degrees_of(self, inst: EntryInstance) -> DegreeMultiset:
-        sp = self._sporadic(inst.family)
-        if sp is not None:
-            return DegreeMultiset.of(sp.degrees)
-        fam = _FAMILY_BY_IDENT.get(inst.family)
-        if fam is None or fam not in self.families:
-            raise InvalidParametersError(f"{inst.family!r} is not in this catalog")
-        return DegreeMultiset.of(fam.degrees(inst.params))
+        row = self._row(inst.family)
+        if isinstance(row, SporadicEntry):
+            return DegreeMultiset.of(row.degrees)
+        return DegreeMultiset.of(row.degrees(*inst.params))
 
     def prime_set_of(self, inst: EntryInstance) -> ResidueSet:
-        sp = self._sporadic(inst.family)
-        if sp is not None:
-            return sp.primes
-        fam = _FAMILY_BY_IDENT.get(inst.family)
-        if fam is None or fam not in self.families:
-            raise InvalidParametersError(f"{inst.family!r} is not in this catalog")
-        return fam.primes(inst.params)
+        row = self._row(inst.family)
+        if isinstance(row, SporadicEntry):
+            return row.primes
+        return row.primes(*inst.params)
 
     def candidates(self, target) -> list[EntryInstance]:
         """Every instance whose degrees form a sub-multiset of ``target``.
@@ -407,8 +353,7 @@ class Catalog:
         out = []
         for fam in self.families:
             for params in fam.sweep(target):
-                degs = fam.degrees(params)
-                if _fits(Counter(degs), need):
+                if _fits(Counter(fam.degrees(*params)), need):
                     out.append(EntryInstance(fam.ident, params, fam.display(params)))
         for sp in self.sporadics:
             if _fits(Counter(sp.degrees), need):
@@ -421,44 +366,26 @@ class Catalog:
 
 
 def parse_entry_name(name: str) -> tuple[str, tuple[int, ...]]:
-    """Split a display name into (family identifier, parameters)."""
+    """Split a display name into (family identifier, parameters).
+
+    The families' display patterns are matched in turn, then the alias S1
+    of S^1 and the sporadic names G_<n>.
+    """
     text = name.strip()
-    if text in ("S^1", "S1"):
+    if text == "S1":
         return ("S^1", ())
-    if text in ("G_2", "F_4", "E_6", "E_7", "E_8"):
-        return (text, ())
-    for prefix, ident in (("SU(", "SU"), ("Sp(", "Sp"), ("Spin(", "Spin")):
-        if text.startswith(prefix) and text.endswith(")"):
-            arg = _int_or_raise(text[len(prefix) : -1], name)
-            if ident == "Spin":
-                if arg % 2:
-                    raise InvalidParametersError(
-                        f"{name!r}: only even spin ranks are catalogued"
-                    )
-                arg //= 2
-            return (ident, (arg,))
-    if text.startswith("G(") and text.endswith(")"):
-        parts = text[2:-1].split(",")
-        if len(parts) != 3:
-            raise InvalidParametersError(f"{name!r}: expected G(m,r,n)")
-        return ("G(m,r,n)", tuple(_int_or_raise(p, name) for p in parts))
-    if text.startswith("D_"):
-        arg = _int_or_raise(text[2:], name)
-        if arg % 2:
-            raise InvalidParametersError(f"{name!r}: dihedral subscript must be even")
-        return ("D", (arg // 2,))
-    if text.startswith("C_"):
-        return ("C", (_int_or_raise(text[2:], name),))
-    if text.startswith("G_"):
+    for fam in _FAMILIES:
+        match = fam.name_re.fullmatch(text)
+        if match:
+            shown = [int(g) for g in match.groups()]
+            if any(v % s for v, s in zip(shown, fam.scale)):
+                raise InvalidParametersError(
+                    f"{name!r}: {fam.pattern} shows each parameter times {fam.scale}"
+                )
+            return (fam.ident, tuple(v // s for v, s in zip(shown, fam.scale)))
+    if re.fullmatch(r"G_\d+", text):
         return (text, ())
     raise InvalidParametersError(f"unrecognized catalog entry name {name!r}")
-
-
-def _int_or_raise(text: str, name: str) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise InvalidParametersError(f"bad number in entry name {name!r}") from None
 
 
 @lru_cache(maxsize=1)

@@ -34,7 +34,8 @@ class InvalidParametersError(PolycohError, ValueError):
 
 
 class SizeLimitError(PolycohError, RuntimeError):
-    """A requested group enumeration exceeds the configured element budget."""
+    """A computation would exceed its budget: the elements of a group
+    enumeration, or the Pollard-Brent rho steps to factor an integer."""
 
 
 class InternalArithmeticError(PolycohError, RuntimeError):

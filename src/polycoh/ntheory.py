@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ModulusOverflowError, NotAPrimeError
+from .errors import ModulusOverflowError, NotAPrimeError, SizeLimitError
 
 # Largest modulus the residue algebra will represent.  Python integers do not
 # overflow, but catalog consumers expect 64-bit-sized moduli; anything bigger
@@ -24,6 +24,13 @@ PRIME_TEST_BOUND = 3317044064679887385961981
 # per gcd.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _RHO_BATCH = 128
+
+# Steps Pollard-Brent rho may take to split one number.  It needs about
+# sqrt(p) of them for the smallest prime factor p, which is below 3.1 * 10^9
+# for a composite up to MAX_MODULUS: balanced semiprimes near 2^63 split
+# within 230,000 steps in trials.  The limit refuses a 40-digit product of
+# two 20-digit primes in about a second.
+RHO_STEPS = 1 << 21
 
 
 @lru_cache(maxsize=65536)
@@ -106,12 +113,18 @@ def prime_factors(n: int) -> tuple[int, ...]:
 def _rho_factor(n: int) -> int:
     """A proper factor of the composite ``n``, which has no factor below
     50 (Brent's cycle finding with batched gcds, polynomial x^2 + c for
-    c = 1, 2, ... until one splits n)."""
-    c = 0
+    c = 1, 2, ... until one splits n), within RHO_STEPS steps."""
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * r
+            if steps > RHO_STEPS:
+                raise SizeLimitError(
+                    f"cannot factor {n}: Pollard-Brent rho found no factor"
+                    f" within its limit of {RHO_STEPS} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -152,20 +165,3 @@ def checked_lcm(a: int, b: int) -> int:
             f"combined modulus lcm({a}, {b}) = {l} exceeds the 64-bit limit"
         )
     return l
-
-
-def first_prime_in_class(a: int, n: int) -> int | None:
-    """Smallest prime p with p % n == a, or None if the class has none.
-
-    For gcd(a, n) == 1 a prime exists by Dirichlet's theorem and the
-    ascending scan terminates; otherwise the only candidate is gcd(a, n)
-    itself, since every member of the class is divisible by it.
-    """
-    g = math.gcd(a, n)
-    if g > 1:
-        return g if is_prime(g) and g % n == a else None
-    x = a
-    while True:
-        if x >= 2 and is_prime(x):
-            return x
-        x += n

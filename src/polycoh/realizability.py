@@ -11,14 +11,15 @@ primes, described by a :class:`PrimeSpec`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import count
+from typing import Callable
 
 from .catalog import Catalog, DegreeMultiset
 from .decompose import Decomposition, decompose, decompose_at_prime
 from .errors import InvalidParametersError
-from .ntheory import checked_lcm, ensure_prime, first_prime_in_class, is_prime, primes_below
+from .ntheory import checked_lcm, ensure_prime, is_prime, prime_factors, primes_below
 from .residues import (
     ALL_PRIMES,
     NO_PRIMES,
@@ -27,6 +28,7 @@ from .residues import (
     class_contains_prime,
     covers_all_primes,
     intersect,
+    make,
     normalize,
     prime_subset,
     union,
@@ -142,20 +144,21 @@ def realizable_over(cat: Catalog, target, spec: PrimeSpec) -> RealizabilityRepor
 
     True exactly when every prime of the spec lies in the type's prime set.
     On failure a concrete failing prime is exhibited whenever one exists
-    (always for the all/finite/cofinite variants); a listable spec whose
-    difference contains no prime below the scan bound carries the offending
-    residue class instead.
+    (always for the all/finite/cofinite variants; "all" is the cofinite spec
+    that excludes nothing); a listable spec whose difference contains no
+    prime below the scan bound carries the offending residue class instead.
     """
     target = DegreeMultiset.of(target)
     ps = prime_set_of_type(cat, target)
     report = RealizabilityReport(target, spec, False, ps)
 
-    if spec.kind == "all":
-        report.verdict = covers_all_primes(ps)
+    if spec.kind in ("all", "cofinite"):
+        excluded = set(spec.primes)
+        report.failing_prime = _uncovered_prime(ps, excluded)
+        report.verdict = report.failing_prime is None
         if report.verdict:
-            _attach_witness(cat, target, report, 2)
-        else:
-            report.failing_prime = _smallest_uncovered_prime(ps)
+            p0 = _first_prime(ALL_PRIMES, lambda p: p not in excluded)
+            _attach_witness(cat, target, report, p0)
     elif spec.kind == "finite":
         report.verdict = True
         for p in spec.primes:
@@ -165,31 +168,16 @@ def realizable_over(cat: Catalog, target, spec: PrimeSpec) -> RealizabilityRepor
             elif report.verdict:
                 report.verdict = False
                 report.failing_prime = p
-    elif spec.kind == "cofinite":
-        # Classwise at the canonical modulus: a class outside the set either
-        # carries infinitely many primes (so some non-excluded one fails) or
-        # exactly one candidate, which is ignored iff excluded.
-        excluded = set(spec.primes)
-        failing = [
-            p
-            for a in range(ps.modulus)
-            if a not in ps.residues
-            and (p := _first_prime_in_class_outside(a, ps.modulus, excluded))
-            is not None
-        ]
-        report.verdict = not failing
-        if report.verdict:
-            _attach_witness(cat, target, report, _smallest_prime_not_in(excluded))
-        else:
-            report.failing_prime = min(failing)
     elif spec.kind == "listable":
         report.verdict = prime_subset(spec.classes, ps)
         if report.verdict:
-            p0 = _smallest_listed_prime(spec.classes)
+            p0 = _first_prime(spec.classes, bound=WITNESS_PRIME_BOUND)
             if p0 is not None:
                 _attach_witness(cat, target, report, p0)
         else:
-            p0 = _smallest_listed_prime(spec.classes, outside=ps)
+            p0 = _first_prime(
+                spec.classes, lambda p: p not in ps, bound=WITNESS_PRIME_BOUND
+            )
             if p0 is not None:
                 report.failing_prime = p0
             else:
@@ -213,57 +201,38 @@ def _attach_witness(cat: Catalog, target, report: RealizabilityReport, p: int) -
         report.witnesses[p] = wit
 
 
-def _smallest_uncovered_prime(s: ResidueSet) -> int:
-    """Smallest prime outside ``s``; caller guarantees one exists."""
-    best = None
-    for a in range(s.modulus):
-        if a in s.residues:
-            continue
-        p = first_prime_in_class(a, s.modulus)
-        if p is not None and (best is None or p < best):
-            best = p
-    if best is None:  # pragma: no cover - guarded by covers_all_primes
-        raise RuntimeError("no uncovered prime found in a non-covering set")
-    return best
-
-
-def _first_prime_in_class_outside(a: int, n: int, excluded: set[int]) -> int | None:
-    """Smallest prime congruent to a mod n that is not excluded, if any.
-
-    For gcd(a, n) > 1 the class holds at most one prime; otherwise the
-    ascending scan terminates because the class holds infinitely many and
-    the exclusion list is finite.
-    """
-    g = math.gcd(a, n)
-    if g > 1:
-        p = first_prime_in_class(a, n)
-        return p if p is not None and p not in excluded else None
-    x = a
-    while True:
-        if x >= 2 and is_prime(x) and x not in excluded:
-            return x
-        x += n
-
-
-def _smallest_prime_not_in(excluded) -> int:
-    x = 2
-    while True:
-        if is_prime(x) and x not in excluded:
-            return x
-        x += 1
-
-
-def _smallest_listed_prime(
-    classes: ResidueSet, outside: ResidueSet | None = None
+def _first_prime(
+    s: ResidueSet, keep: Callable[[int], bool] | None = None, bound: int | None = None
 ) -> int | None:
-    """Smallest prime of ``classes`` (optionally outside ``outside``) below
-    the witness scan bound, or None."""
-    for p in primes_below(WITNESS_PRIME_BOUND):
-        if p % classes.modulus in classes.residues and (
-            outside is None or p % outside.modulus not in outside.residues
-        ):
+    """Smallest prime of ``s`` below ``bound`` that passes ``keep``, or None.
+
+    One ascending walk over the primes, tested against ``s`` inline and
+    against ``keep`` only once they lie in ``s``.  Without a bound the
+    caller must know that such a prime exists.
+    """
+    primes = filter(is_prime, count(2)) if bound is None else primes_below(bound)
+    m, residues = s.modulus, s.residues
+    for p in primes:
+        if p % m in residues and (keep is None or keep(p)):
             return p
     return None
+
+
+def _uncovered_prime(ps: ResidueSet, excluded: set[int]) -> int | None:
+    """Smallest prime outside ``ps`` and ``excluded``, or None.
+
+    Decided at the class level: if ps holds every unit class mod N, only
+    the primes dividing N can lie outside it; otherwise a unit class outside
+    ps holds infinitely many primes, so the scan ends.
+    """
+
+    def fails(p: int) -> bool:
+        return p not in ps and p not in excluded
+
+    factors = prime_factors(ps.modulus)
+    if covers_all_primes(make(ps.modulus, [*ps.residues, *factors])):
+        return next(filter(fails, factors), None)
+    return _first_prime(ALL_PRIMES, fails)
 
 
 def _offending_class(classes: ResidueSet, ps: ResidueSet) -> tuple[int, int]:

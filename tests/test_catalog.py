@@ -13,6 +13,7 @@ from polycoh.catalog import (
 from polycoh.errors import CatalogError, InvalidParametersError, InvalidTypeError
 from polycoh.ntheory import divisors, primes_below
 from polycoh.residues import as_json_dict, contains_prime, make, normalize
+from polycoh.verify import even_degree_multisets
 
 PRIMES_10K = primes_below(10001)
 
@@ -150,6 +151,28 @@ def test_parse_entry_name_forms():
     assert parse_entry_name("C_12") == ("C", (12,))
     assert parse_entry_name("G_2") == ("G_2", ())
     assert parse_entry_name("G_34") == ("G_34", ())
+
+
+def test_entry_names_round_trip(cat):
+    # every instance candidates emits over the verify corpus (and the types
+    # of the larger exceptional groups), by its own name
+    big = [cat.degrees_of(cat.instance(name)) for name in ("E_6", "E_7", "E_8")]
+    seen = set()
+    for target in [*even_degree_multisets(24, 4), *big]:
+        for inst in cat.candidates(target):
+            if inst not in seen:
+                seen.add(inst)
+                assert cat.lookup(inst.name) == inst, inst
+    assert {inst.family for inst in seen} >= {f.ident for f in cat.families}
+    for sp in cat.sporadics:
+        assert cat.lookup(sp.name) == cat.instance(sp.name)
+    # spaced and alias forms
+    assert cat.lookup(" SU(4) ") == cat.instance("SU", (4,))
+    assert cat.lookup("G(6, 3, 2)") == cat.instance("G(m,r,n)", (6, 3, 2))
+    assert cat.lookup("S1") == cat.lookup("S^1")
+    for name in ("D_13", "SU(abc)", "G(6,3)", "Spin(-8)", "E_9", ""):
+        with pytest.raises(InvalidParametersError):
+            cat.lookup(name)
 
 
 def test_dihedral_agrees_with_gmm2(cat):

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from polycoh.cli import main, parse_degrees, parse_ring
 from polycoh.catalog import builtin
 from polycoh.errors import RingSpecError
+from polycoh.ntheory import RHO_STEPS
 from polycoh.realizability import PrimeSpec
 from polycoh.residues import make, normalize
 
@@ -180,3 +182,19 @@ def test_error_exit_codes(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run_cli(capsys, "witness", "--degrees", "4", "--prime", "9")
     assert code == 1 and "error:" in err
+
+
+def test_inverting_an_unfactorable_integer_is_refused_quickly(capsys):
+    # (10^20 + 39)(10^20 + 129): no prime factor within rho's step limit
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys,
+        "check",
+        "--degrees",
+        "4,6",
+        "--ring",
+        "Z[1/10000000000000000016800000000000000005031]",
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 1 and out == ""
+    assert f"limit of {RHO_STEPS} steps" in err

@@ -2,13 +2,14 @@ import math
 
 import pytest
 
-from polycoh.errors import ModulusOverflowError, NotAPrimeError
+from polycoh.errors import ModulusOverflowError, NotAPrimeError, SizeLimitError
 from polycoh.ntheory import (
+    MAX_MODULUS,
     PRIME_TEST_BOUND,
+    RHO_STEPS,
     checked_lcm,
     divisors,
     ensure_prime,
-    first_prime_in_class,
     is_prime,
     prime_factors,
     primes_below,
@@ -32,6 +33,20 @@ def test_is_prime_large():
     assert not is_prime(2**61 + 1)
     assert is_prime(10**12 + 39)
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def test_prime_factors_of_balanced_semiprimes_below_the_modulus_limit():
+    # the hardest inputs below MAX_MODULUS: two primes near its square root
+    top = math.isqrt(MAX_MODULUS)
+    near = [p for p in range(top, top - 2000, -1) if is_prime(p)][:6]
+    for p, q in zip(near[::2], near[1::2]):
+        assert p * q <= MAX_MODULUS
+        assert prime_factors(p * q) == (q, p)
+
+
+def test_prime_factors_refuses_past_the_rho_step_limit():
+    with pytest.raises(SizeLimitError, match=str(RHO_STEPS)):
+        prime_factors((10**20 + 39) * (10**20 + 129))
 
 
 def test_ensure_prime_rejects():
@@ -69,26 +84,6 @@ def test_checked_lcm():
         checked_lcm(2**40, 2**40 + 1)
 
 
-def test_first_prime_in_class():
-    assert first_prime_in_class(1, 4) == 5
-    assert first_prime_in_class(3, 4) == 3
-    assert first_prime_in_class(0, 2) == 2
-    assert first_prime_in_class(6, 10) is None
-    assert first_prime_in_class(3, 9) == 3
-    assert first_prime_in_class(0, 9) is None
-    # agrees with an exhaustive scan on a sample
-    for n in (7, 12, 30):
-        for a in range(n):
-            got = first_prime_in_class(a, n)
-            scan = next(
-                (p for p in primes_below(10**5) if p % n == a), None
-            )
-            if math.gcd(a, n) == 1:
-                assert got == scan
-            else:
-                assert got == scan  # at most one candidate either way
-
-
 def test_prime_factors_beyond_trial_division():
     # products of two primes near 2^31 and squares of large primes need rho
     assert prime_factors((2**31 - 1) * (2**31 - 19)) == (2**31 - 19, 2**31 - 1)
@@ -107,6 +102,20 @@ def test_prime_factors_beyond_trial_division():
             want.add(smallest[m])
             m //= smallest[m]
         assert prime_factors(n) == tuple(sorted(want))
+
+
+def test_prime_factors_of_balanced_semiprimes_below_the_modulus_limit():
+    # the hardest inputs below MAX_MODULUS: two primes near its square root
+    top = math.isqrt(MAX_MODULUS)
+    near = [p for p in range(top, top - 2000, -1) if is_prime(p)][:6]
+    for p, q in zip(near[::2], near[1::2]):
+        assert p * q <= MAX_MODULUS
+        assert prime_factors(p * q) == (q, p)
+
+
+def test_prime_factors_refuses_past_the_rho_step_limit():
+    with pytest.raises(SizeLimitError, match=str(RHO_STEPS)):
+        prime_factors((10**20 + 39) * (10**20 + 129))
 
 
 def test_ensure_prime_rejects_past_the_deterministic_bound():
