@@ -50,28 +50,22 @@ def decompose(cat: Catalog, target) -> list[Decomposition]:
     for bucket in by_min.values():
         bucket.sort(key=lambda item: item[0])
 
-    results: list[tuple[EntryInstance, ...]] = []
-    chosen: list[EntryInstance] = []
-
-    def extend(remaining: Counter, prev_min: int | None, prev_key: tuple | None) -> None:
+    # Depth-first over frames (remaining degrees, previous minimum, previous
+    # key, parts chosen so far): an explicit stack, as the depth is unbounded.
+    decs = []
+    stack = [(target.counter(), None, None, ())]
+    while stack:
+        remaining, prev_min, prev_key, chosen = stack.pop()
         if not remaining:
-            results.append(tuple(chosen))
-            return
+            decs.append(Decomposition(tuple(sorted(chosen, key=lambda p: p.sort_key))))
+            continue
         d = min(remaining)
         for key, inst, need in by_min.get(d, ()):
             if d == prev_min and key < prev_key:
                 continue
             if all(remaining[x] >= c for x, c in need.items()):
-                chosen.append(inst)
-                extend(remaining - need, d, key)
-                chosen.pop()
+                stack.append((remaining - need, d, key, chosen + (inst,)))
 
-    extend(target.counter(), None, None)
-
-    decs = [
-        Decomposition(tuple(sorted(parts, key=lambda p: p.sort_key)))
-        for parts in results
-    ]
     decs.sort(key=Decomposition.sort_key)
     return decs
 

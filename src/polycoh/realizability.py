@@ -11,15 +11,16 @@ primes, described by a :class:`PrimeSpec`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 from itertools import count
 from typing import Callable
 
 from .catalog import Catalog, DegreeMultiset
-from .decompose import Decomposition, decompose, decompose_at_prime
+from .decompose import Decomposition, decompose
 from .errors import InvalidParametersError
-from .ntheory import checked_lcm, ensure_prime, is_prime, prime_factors, primes_below
+from .ntheory import ensure_prime, is_prime, prime_factors, primes_below
 from .residues import (
     ALL_PRIMES,
     NO_PRIMES,
@@ -112,31 +113,46 @@ class RealizabilityReport:
         return doc
 
 
+class _Search:
+    """The one search behind a query: the target's decompositions, found
+    once, and each part's prime set, looked up once on first use."""
+
+    def __init__(self, cat: Catalog, target) -> None:
+        self.decs = decompose(cat, target)
+        self.part_primes = cache(cat.prime_set_of)
+
+    def prime_set(self) -> ResidueSet:
+        out = NO_PRIMES
+        for dec in self.decs:
+            dec_set = reduce(intersect, map(self.part_primes, dec.parts), ALL_PRIMES)
+            out = union(out, dec_set)
+            if out == ALL_PRIMES:
+                break
+        return out
+
+    def witness(self, p: int) -> Decomposition | None:
+        """The first decomposition whose parts all occur at ``p``, or None."""
+        for dec in self.decs:
+            if all(p in self.part_primes(part) for part in dec.parts):
+                return dec
+        return None
+
+
 def prime_set_of_type(cat: Catalog, target) -> ResidueSet:
     """The canonical residue-class set of primes at which ``target`` is
     realizable: union over decompositions of the intersection over parts of
     their occurrence sets.  The empty type is realizable at every prime.
     """
-    target = DegreeMultiset.of(target)
-    out = NO_PRIMES
-    for dec in decompose(cat, target):
-        dec_set = reduce(
-            intersect, (cat.prime_set_of(part) for part in dec.parts), ALL_PRIMES
-        )
-        out = union(out, dec_set)
-        if out == ALL_PRIMES:
-            break
-    return out
+    return _Search(cat, target).prime_set()
 
 
 def realizable_at_prime(
     cat: Catalog, target, p: int
 ) -> tuple[bool, Decomposition | None]:
     """Verdict at a single prime, with the canonical first witness."""
-    decs = decompose_at_prime(cat, target, p)
-    if decs:
-        return True, decs[0]
-    return False, None
+    ensure_prime(p)
+    wit = _Search(cat, target).witness(p)
+    return wit is not None, wit
 
 
 def realizable_over(cat: Catalog, target, spec: PrimeSpec) -> RealizabilityReport:
@@ -149,41 +165,34 @@ def realizable_over(cat: Catalog, target, spec: PrimeSpec) -> RealizabilityRepor
     prime below the scan bound carries the offending residue class instead.
     """
     target = DegreeMultiset.of(target)
-    ps = prime_set_of_type(cat, target)
+    search = _Search(cat, target)
+    ps = search.prime_set()
     report = RealizabilityReport(target, spec, False, ps)
 
     if spec.kind in ("all", "cofinite"):
         excluded = set(spec.primes)
         report.failing_prime = _uncovered_prime(ps, excluded)
-        report.verdict = report.failing_prime is None
-        if report.verdict:
+        if report.failing_prime is None:
             p0 = _first_prime(ALL_PRIMES, lambda p: p not in excluded)
-            _attach_witness(cat, target, report, p0)
+            report.witnesses[p0] = search.witness(p0)
     elif spec.kind == "finite":
-        report.verdict = True
-        for p in spec.primes:
-            ok, wit = realizable_at_prime(cat, target, p)
-            if ok:
-                report.witnesses[p] = wit
-            elif report.verdict:
-                report.verdict = False
-                report.failing_prime = p
+        found = {p: search.witness(p) for p in spec.primes}
+        report.witnesses = {p: dec for p, dec in found.items() if dec is not None}
+        report.failing_prime = next((p for p, dec in found.items() if dec is None), None)
     elif spec.kind == "listable":
-        report.verdict = prime_subset(spec.classes, ps)
-        if report.verdict:
+        if prime_subset(spec.classes, ps):
             p0 = _first_prime(spec.classes, bound=WITNESS_PRIME_BOUND)
             if p0 is not None:
-                _attach_witness(cat, target, report, p0)
+                report.witnesses[p0] = search.witness(p0)
         else:
-            p0 = _first_prime(
+            report.failing_prime = _first_prime(
                 spec.classes, lambda p: p not in ps, bound=WITNESS_PRIME_BOUND
             )
-            if p0 is not None:
-                report.failing_prime = p0
-            else:
+            if report.failing_prime is None:
                 report.failing_class = _offending_class(spec.classes, ps)
     else:
         raise InvalidParametersError(f"unknown prime spec kind {spec.kind!r}")
+    report.verdict = report.failing_prime is None and report.failing_class is None
     return report
 
 
@@ -193,12 +202,6 @@ def congruence_classes(cat: Catalog, target) -> tuple[int, list[int]]:
     the residues modulo the modulus."""
     c = prime_set_of_type(cat, target)
     return c.modulus, sorted(c.residues)
-
-
-def _attach_witness(cat: Catalog, target, report: RealizabilityReport, p: int) -> None:
-    ok, wit = realizable_at_prime(cat, target, p)
-    if ok:
-        report.witnesses[p] = wit
 
 
 def _first_prime(
@@ -240,10 +243,11 @@ def _offending_class(classes: ResidueSet, ps: ResidueSet) -> tuple[int, int]:
 
     The classes mod L = lcm(M, N) over a mod M are a, a + M, ... below L;
     each residue of ``classes`` is walked up to its first class that lies
-    outside ``ps`` and holds a prime, or to the best found so far.
+    outside ``ps`` and holds a prime, or to the best found so far: at most
+    N / gcd(M, N) steps each and no set mod L, so L is not capped.
     """
     m, n = classes.modulus, ps.modulus
-    l = checked_lcm(m, n)
+    l = math.lcm(m, n)
     best = None
     for a in classes.residues:
         for x in range(a, l if best is None else min(best, l), m):

@@ -1,0 +1,115 @@
+"""One decomposition search per query.
+
+Every realizability query reads its prime set, its per-prime verdicts and
+its witnesses from a single list of decompositions, and looks up each
+distinct part's prime set at most once.  The finite ring spec is checked
+against a copy of the per-prime path it replaced, which searched once per
+listed prime.
+"""
+
+from collections import Counter
+from importlib import import_module
+
+import pytest
+from test_golden_cli import NAMED
+
+from polycoh.catalog import Catalog
+from polycoh.cli import parse_degrees, parse_ring
+from polycoh.decompose import decompose_at_prime
+from polycoh.ntheory import primes_below
+from polycoh.realizability import (
+    PrimeSpec,
+    prime_set_of_type,
+    realizable_at_prime,
+    realizable_over,
+)
+from polycoh.residues import ALL_PRIMES
+from polycoh.verify import even_degree_multisets
+
+# The modules themselves: the attribute polycoh.decompose is the function.
+DECOMPOSE = import_module("polycoh.decompose")
+REALIZABILITY = import_module("polycoh.realizability")
+
+PRIMES_50 = tuple(primes_below(50))
+
+RINGS = (
+    "Z",
+    "Z[1/6]",
+    "F_3",
+    "primes=" + ",".join(map(str, PRIMES_50)),
+    "primes=mod:12:1,5,7,11",
+)
+
+TYPES = ("", "4,6", "4,12", "12,16", "4,4,8,12", "4,6,8,12,16", "SU(5)+Sp(2)", "Spin(8)+D_10")
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts searches (under both names of ``decompose``) and prime-set
+    lookups per part; ``counts.clear()`` starts a new query."""
+    counts = Counter()
+    search = DECOMPOSE.decompose
+    lookup = Catalog.prime_set_of
+
+    def counting_search(cat, target):
+        counts["search"] += 1
+        return search(cat, target)
+
+    def counting_lookup(self, inst):
+        counts[inst] += 1
+        return lookup(self, inst)
+
+    monkeypatch.setattr(DECOMPOSE, "decompose", counting_search)
+    monkeypatch.setattr(REALIZABILITY, "decompose", counting_search)
+    monkeypatch.setattr(Catalog, "prime_set_of", counting_lookup)
+    return counts
+
+
+def _assert_one_search(counts, query):
+    lookups = {part: n for part, n in counts.items() if part != "search"}
+    assert counts["search"] == 1, query
+    assert max(lookups.values(), default=0) <= 1, (query, lookups)
+
+
+@pytest.mark.parametrize("text", TYPES)
+def test_every_query_searches_once(cat, counted, text):
+    target = parse_degrees(text, cat)
+    counted.clear()
+    prime_set_of_type(cat, target)
+    _assert_one_search(counted, "prime_set_of_type")
+    for p in (2, 3, 5):
+        counted.clear()
+        realizable_at_prime(cat, target, p)
+        _assert_one_search(counted, f"realizable_at_prime {p}")
+    for ring in RINGS:
+        spec = parse_ring(ring)
+        counted.clear()
+        realizable_over(cat, target, spec)
+        _assert_one_search(counted, f"realizable_over {ring}")
+
+
+def _old_witness(cat, target, p):
+    decs = decompose_at_prime(cat, target, p)
+    return decs[0] if decs else None
+
+
+def test_finite_spec_matches_the_per_prime_path(cat):
+    spec = PrimeSpec.finite(PRIMES_50)
+    targets = [list(ms) for ms in even_degree_multisets(16, 3)]
+    targets += [list(parse_degrees(name, cat).degrees) for name in NAMED]
+    for target in targets:
+        old = {p: _old_witness(cat, target, p) for p in PRIMES_50}
+        failing = [p for p, dec in old.items() if dec is None]
+        report = realizable_over(cat, target, spec)
+        assert report.verdict == (not failing), target
+        assert report.failing_prime == (failing[0] if failing else None), target
+        assert report.witnesses == {p: dec for p, dec in old.items() if dec is not None}, target
+
+
+def test_prime_set_stops_once_it_holds_every_prime(cat, counted):
+    # SU(8)+SU(8) has 7,588 decompositions; the first, SU(8) + SU(8),
+    # already occurs at every prime, so no other part is looked up.
+    target = parse_degrees("SU(8)+SU(8)", cat)
+    counted.clear()
+    assert prime_set_of_type(cat, target) == ALL_PRIMES
+    assert counted == Counter({"search": 1, cat.lookup("SU(8)"): 1})

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -12,7 +13,14 @@ from polycoh.realizability import (
     realizable_at_prime,
     realizable_over,
 )
-from polycoh.residues import ALL_PRIMES, as_json_dict, contains_prime, make, normalize
+from polycoh.residues import (
+    ALL_PRIMES,
+    as_json_dict,
+    class_contains_prime,
+    contains_prime,
+    make,
+    normalize,
+)
 
 PRIMES_100 = [p for p in primes_below(101)]
 
@@ -167,6 +175,29 @@ def test_listable_spec_with_no_small_witness_reports_class(cat):
     assert report.failing_class == (big, 12 * big)
     doc = report.to_json_dict()
     assert doc["failingClass"] == {"residue": big, "modulus": 12 * big}
+
+
+@pytest.mark.parametrize("degrees", [[4, 12, 20], [12, 16]])
+def test_failing_class_modulus_may_pass_the_modulus_limit(cat, degrees):
+    # The class 1 mod 2^61 - 1 holds no prime below the witness scan bound,
+    # and lcm(2^61 - 1, N) exceeds 2^63: the certificate is checked, never
+    # built as a residue set.
+    classes = make(2**61 - 1, [1])
+    report = realizable_over(cat, degrees, PrimeSpec.listable(classes))
+    assert not report.verdict and report.failing_prime is None
+    residue, modulus = report.failing_class
+    assert modulus > 2**63
+    assert residue in classes
+    assert residue not in report.prime_set
+    assert class_contains_prime(residue, modulus)
+
+
+def test_long_runs_of_one_degree_are_answered(cat):
+    # The search is as deep as the type is long.
+    start = time.perf_counter()
+    report = realizable_over(cat, [2] * 10**4, PrimeSpec.all_primes())
+    assert report.verdict
+    assert time.perf_counter() - start < 2
 
 
 def test_ring_monotonicity(cat):
