@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import count, product, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .errors import CatalogError, InvalidParametersError, InvalidTypeError
@@ -109,7 +109,10 @@ class FamilyTemplate:
     shown times its ``scale`` (Spin(2n), D_2m); :func:`parse_entry_name`
     matches the regular expression derived from it.  ``degrees``,
     ``primes`` and ``check`` take the parameters as arguments; ``sweep``
-    yields every parameter tuple whose degrees can fit inside a target.
+    takes the target's degree counts and, starting from its distinct
+    degrees, yields every parameter tuple whose degrees all occur in the
+    target, and possibly some that do not fit (:meth:`Catalog.candidates`
+    drops those).
     The three text fields document the row and travel with the JSON form;
     a parameterless row's degree formula is its list of degrees.
     """
@@ -122,7 +125,7 @@ class FamilyTemplate:
     degree_formula: str = ""
     constraints: str = ""
     check: Callable[..., bool] = lambda: True
-    sweep: Callable[[DegreeMultiset], Iterable[tuple[int, ...]]] = lambda target: [()]
+    sweep: Callable[[Counter], Iterable[tuple[int, ...]]] = lambda have: [()]
     scale: tuple[int, ...] = ()
     name_re: re.Pattern = field(init=False, repr=False)
 
@@ -153,6 +156,14 @@ class SporadicEntry:
 
 _P_GE_3, _P_GE_5, _P_GE_7 = (from_min_prime(k) for k in (3, 5, 7))
 
+
+@lru_cache(maxsize=4096)
+def _classes(m: int, residues: tuple[int, ...]) -> ResidueSet:
+    """The canonical set of the given classes mod ``m``, built once per
+    key: C_m and every G(m, r, n) share one object."""
+    return normalize(make(m, residues))
+
+
 # The families, in catalog order.
 _FAMILIES = (
     FamilyTemplate("S^1", "S^1", lambda: (2,), lambda: ALL_PRIMES, "all p"),
@@ -165,7 +176,7 @@ _FAMILIES = (
         degree_formula="4, 6, ..., 2n",
         constraints="n >= 2",
         check=lambda n: n >= 2,
-        sweep=lambda t: product(range(2, t.max_degree // 2 + 1)),
+        sweep=lambda have: product(takewhile(lambda n: 2 * n in have, count(2))),
     ),
     FamilyTemplate(
         ident="Sp",
@@ -176,7 +187,7 @@ _FAMILIES = (
         degree_formula="4, 8, ..., 4n",
         constraints="n >= 1",
         check=lambda n: n >= 1,
-        sweep=lambda t: product(range(1, t.max_degree // 4 + 1)),
+        sweep=lambda have: product(takewhile(lambda n: 4 * n in have, count(1))),
     ),
     FamilyTemplate(
         ident="Spin",
@@ -188,7 +199,8 @@ _FAMILIES = (
         degree_formula="4, 8, ..., 4(n-1), 2n",
         constraints="n >= 3",
         check=lambda n: n >= 3,
-        sweep=lambda t: product(range(3, t.max_degree // 2 + 1)),
+        # The instance has n degrees, so n is at most the target's size.
+        sweep=lambda have: ((d // 2,) for d in have if 6 <= d <= 2 * have.total()),
     ),
     FamilyTemplate("G_2", "G_2", lambda: (4, 12), lambda: _P_GE_3, "p >= 3"),
     FamilyTemplate("F_4", "F_4", lambda: (4, 12, 16, 24), lambda: _P_GE_5, "p >= 5"),
@@ -205,17 +217,20 @@ _FAMILIES = (
         ident="G(m,r,n)",
         pattern="G({},{},{})",
         degrees=lambda m, r, n: [2 * m * i for i in range(1, n)] + [2 * m * n // r],
-        primes=lambda m, r, n: normalize(make(m, (1,))),
+        primes=lambda m, r, n: _classes(m, (1,)),
         prime_condition="p == 1 (mod m)",
         degree_formula="2m, 4m, ..., 2(n-1)m, 2mn/r",
         constraints="n >= 2, m >= 3, r | m",
         check=lambda m, r, n: n >= 2 and m >= 3 and r >= 1 and m % r == 0,
-        # 2m is always among the degrees and the instance has n of them.
-        sweep=lambda t: (
+        # 2m, 4m, ..., 2(n-1)m are always among the n degrees.
+        sweep=lambda have: (
             (m, r, n)
-            for m in range(3, t.max_degree // 2 + 1)
-            for n in range(2, len(t) + 1)
-            for r in divisors(m)
+            for m in (d // 2 for d in have if d >= 6)
+            for rs in [divisors(m)]
+            for n in takewhile(
+                lambda n: n <= have.total() and 2 * m * (n - 1) in have, count(2)
+            )
+            for r in rs
         ),
     ),
     FamilyTemplate(
@@ -223,23 +238,25 @@ _FAMILIES = (
         pattern="D_{}",
         scale=(2,),
         degrees=lambda m: (4, 2 * m),
-        primes=lambda m: normalize(make(m, (1, m - 1))),
+        primes=lambda m: _classes(m, (1, m - 1)),
         prime_condition="p == +-1 (mod m)",
         degree_formula="4, 2m",
         constraints="m >= 5, m != 6",
         check=lambda m: m >= 5 and m != 6,
-        sweep=lambda t: ((m,) for m in range(5, t.max_degree // 2 + 1) if m != 6),
+        sweep=lambda have: (
+            (d // 2,) for d in have if d >= 10 and d != 12 and 4 in have
+        ),
     ),
     FamilyTemplate(
         ident="C",
         pattern="C_{}",
         degrees=lambda m: (2 * m,),
-        primes=lambda m: normalize(make(m, (1,))),
+        primes=lambda m: _classes(m, (1,)),
         prime_condition="p == 1 (mod m)",
         degree_formula="2m",
         constraints="m >= 3",
         check=lambda m: m >= 3,
-        sweep=lambda t: product(range(3, t.max_degree // 2 + 1)),
+        sweep=lambda have: ((d // 2,) for d in have if d >= 6),
     ),
 )
 _FAMILY_BY_IDENT = {f.ident: f for f in _FAMILIES}
@@ -345,14 +362,15 @@ class Catalog:
     def candidates(self, target) -> list[EntryInstance]:
         """Every instance whose degrees form a sub-multiset of ``target``.
 
-        Finite and complete: the parameter sweeps cover every instance whose
-        smallest mandatory degree and degree count fit inside the target.
+        Finite and complete: every degree of a fitting instance occurs in the
+        target, so the sweeps, which start from the target's distinct degrees,
+        yield a superset of the fitting instances, and the fit test keeps
+        exactly those.
         """
-        target = DegreeMultiset.of(target)
-        need = target.counter()
+        need = DegreeMultiset.of(target).counter()
         out = []
         for fam in self.families:
-            for params in fam.sweep(target):
+            for params in fam.sweep(need):
                 if _fits(Counter(fam.degrees(*params)), need):
                     out.append(EntryInstance(fam.ident, params, fam.display(params)))
         for sp in self.sporadics:

@@ -175,6 +175,14 @@ def test_entry_names_round_trip(cat):
             cat.lookup(name)
 
 
+def test_family_prime_sets_are_built_once_per_modulus(cat):
+    c12 = cat.prime_set_of(cat.instance("C", (12,)))
+    assert cat.prime_set_of(cat.instance("G(m,r,n)", (12, 4, 3))) is c12
+    assert cat.prime_set_of(cat.instance("G(m,r,n)", (12, 2, 3))) is c12
+    d10 = cat.instance("D", (10,))
+    assert cat.prime_set_of(d10) is cat.prime_set_of(d10)
+
+
 def test_dihedral_agrees_with_gmm2(cat):
     # two rows, one degree multiset
     for m in range(5, 31):

@@ -5,7 +5,7 @@ import pytest
 
 from polycoh.cli import main, parse_degrees, parse_ring
 from polycoh.catalog import builtin
-from polycoh.errors import RingSpecError
+from polycoh.errors import NotAPrimeError, RingSpecError
 from polycoh.ntheory import RHO_STEPS
 from polycoh.realizability import PrimeSpec
 from polycoh.residues import make, normalize
@@ -198,3 +198,32 @@ def test_inverting_an_unfactorable_integer_is_refused_quickly(capsys):
     assert time.perf_counter() - start < 2
     assert code == 1 and out == ""
     assert f"limit of {RHO_STEPS} steps" in err
+
+
+# 2^89 - 1: a prime past the bound up to which primality is decided exactly.
+M89 = 2**89 - 1
+
+
+@pytest.mark.parametrize(
+    "degrees, verdict, extra",
+    [
+        ("4,6", True, {"witnesses": {"2": ["SU(3)"]}}),
+        ("4,12", False, {"failingPrime": 2}),
+    ],
+)
+def test_inverting_a_prime_past_the_exact_bound(capsys, degrees, verdict, extra):
+    ring = f"Z[1/{M89}]"
+    code, out, _ = run_cli(
+        capsys, "check", "--degrees", degrees, "--ring", ring, "--format", "json"
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] is verdict
+    assert {key: doc[key] for key in extra} == extra
+
+
+def test_cofinite_specs_accept_probable_primes_and_refuse_composites():
+    assert PrimeSpec.cofinite([M89]).primes == (M89,)
+    with pytest.raises(NotAPrimeError):
+        PrimeSpec.cofinite([4])
+    with pytest.raises(NotAPrimeError):
+        PrimeSpec.finite([M89])
