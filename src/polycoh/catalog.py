@@ -26,7 +26,6 @@ from itertools import count, product, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .errors import CatalogError, InvalidParametersError, InvalidTypeError
-from .ntheory import divisors
 from .residues import (
     ALL_PRIMES,
     ResidueSet,
@@ -222,15 +221,16 @@ _FAMILIES = (
         degree_formula="2m, 4m, ..., 2(n-1)m, 2mn/r",
         constraints="n >= 2, m >= 3, r | m",
         check=lambda m, r, n: n >= 2 and m >= 3 and r >= 1 and m % r == 0,
-        # 2m, 4m, ..., 2(n-1)m are always among the n degrees.
+        # 2m, 4m, ..., 2(n-1)m are always among the n degrees, and the
+        # last degree 2mn/r fixes r.
         sweep=lambda have: (
-            (m, r, n)
+            (m, 2 * m * n // last, n)
             for m in (d // 2 for d in have if d >= 6)
-            for rs in [divisors(m)]
             for n in takewhile(
                 lambda n: n <= have.total() and 2 * m * (n - 1) in have, count(2)
             )
-            for r in rs
+            for last in have
+            if 2 * m * n % last == 0 and m % (2 * m * n // last) == 0
         ),
     ),
     FamilyTemplate(

@@ -62,6 +62,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def ensure_probable_prime(p: int) -> int:
+    """``p`` if :func:`is_prime` accepts it, exactly or, past
+    PRIME_TEST_BOUND, as a strong probable prime."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotAPrimeError(f"{p!r} is not a prime number")
+    return p
+
+
 def ensure_prime(p: int) -> int:
     """``p`` if it is a prime that :func:`is_prime` decides exactly."""
     if isinstance(p, int) and p >= PRIME_TEST_BOUND:
@@ -69,9 +77,7 @@ def ensure_prime(p: int) -> int:
             f"{p} is not below {PRIME_TEST_BOUND}, the bound up to which"
             " primality is decided exactly"
         )
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotAPrimeError(f"{p!r} is not a prime number")
-    return p
+    return ensure_probable_prime(p)
 
 
 @lru_cache(maxsize=64)

@@ -19,8 +19,14 @@ from typing import Callable
 
 from .catalog import Catalog, DegreeMultiset
 from .decompose import Decomposition, decompose
-from .errors import InvalidParametersError, NotAPrimeError
-from .ntheory import ensure_prime, is_prime, prime_factors, primes_below
+from .errors import InvalidParametersError
+from .ntheory import (
+    ensure_prime,
+    ensure_probable_prime,
+    is_prime,
+    prime_factors,
+    primes_below,
+)
 from .residues import (
     ALL_PRIMES,
     NO_PRIMES,
@@ -66,7 +72,8 @@ class PrimeSpec:
         # An excluded prime is only compared with primes the engine finds
         # itself, so a strong probable prime past PRIME_TEST_BOUND cannot
         # change a verdict.
-        return PrimeSpec("cofinite", _validated_primes(excluded, _probable_prime))
+        excluded = {ensure_probable_prime(p) for p in excluded}
+        return PrimeSpec("cofinite", tuple(sorted(excluded)))
 
     @staticmethod
     def listable(classes: ResidueSet) -> "PrimeSpec":
@@ -83,16 +90,8 @@ class PrimeSpec:
         return f"primes in {sorted(c.residues)} mod {c.modulus}"
 
 
-def _validated_primes(primes, check=ensure_prime) -> tuple[int, ...]:
-    return tuple(sorted({check(p) for p in primes}))
-
-
-def _probable_prime(p: int) -> int:
-    """``p`` if :func:`is_prime` accepts it, exactly or as a strong
-    probable prime."""
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotAPrimeError(f"{p!r} is not a prime number")
-    return p
+def _validated_primes(primes) -> tuple[int, ...]:
+    return tuple(sorted({ensure_prime(p) for p in primes}))
 
 
 @dataclass

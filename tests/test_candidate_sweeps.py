@@ -8,6 +8,8 @@ degree, and the work for one large degree is counted, not timed.
 
 from collections import Counter
 
+import pytest
+
 from test_golden_cli import NAMED
 
 from polycoh.catalog import DegreeMultiset, EntryInstance
@@ -59,8 +61,11 @@ def test_candidates_match_the_max_degree_sweeps(cat):
         assert cat.candidates(target) == old_candidates(cat, target), target
 
 
-def test_one_large_degree_sweeps_two_parameter_tuples(cat):
-    have = DegreeMultiset.of((16000,)).counter()
+@pytest.mark.parametrize("degree", [16000, 2 * 10**16])
+def test_one_large_degree_sweeps_two_parameter_tuples(cat, degree):
+    # No sweep may do work that grows with the degree itself: trial division
+    # up to the square root of 10^16 is 10^8 steps.
+    have = DegreeMultiset.of((degree,)).counter()
     swept = [p for fam in cat.families if fam.scale for p in fam.sweep(have)]
     assert len(swept) <= 2
-    assert cat.candidates((16000,)) == [cat.instance("C", (8000,))]
+    assert cat.candidates((degree,)) == [cat.instance("C", (degree // 2,))]

@@ -10,6 +10,7 @@ from polycoh.ntheory import (
     checked_lcm,
     divisors,
     ensure_prime,
+    ensure_probable_prime,
     is_prime,
     prime_factors,
     primes_below,
@@ -123,3 +124,6 @@ def test_ensure_prime_rejects_past_the_deterministic_bound():
     for p in (PRIME_TEST_BOUND, 2**89 - 1):  # 2^89 - 1 is a Mersenne prime
         with pytest.raises(NotAPrimeError, match=str(PRIME_TEST_BOUND)):
             ensure_prime(p)
+    assert ensure_probable_prime(2**89 - 1) == 2**89 - 1
+    with pytest.raises(NotAPrimeError, match="not a prime"):
+        ensure_probable_prime(2**89 + 1)
