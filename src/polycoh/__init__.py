@@ -37,11 +37,9 @@ from .errors import (
     SizeLimitError,
 )
 from .molien import (
-    CyclotomicElement,
     PhasedPermutation,
     TruncatedSeries,
     cycle_factors,
-    cyclotomic_polynomial,
     doubled_degrees,
     group_elements,
     group_order,
@@ -68,7 +66,6 @@ from .residues import (
     exclude_prime,
     from_min_prime,
     intersect,
-    lift,
     make,
     normalize,
     prime_subset,

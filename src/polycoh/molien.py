@@ -13,17 +13,19 @@ directly from the group average
     M(t) = 1/|G| * sum_g 1 / det(1 - t g)
          = 1/|G| * sum_g prod_cycles 1 / (1 - zeta^e t^len)
 
-and checks it against the claimed degrees, i.e. that
-M(t) * prod_i (1 - t^{d_i}) = 1 up to the truncation order.  Everything is
-exact integer and rational arithmetic; a verdict carries no tolerance.
+and checks it against the claimed degrees, i.e. that M(t) equals
+prod_i 1 / (1 - t^{d_i}) up to the truncation order.  Everything is exact
+integer arithmetic; a verdict carries no tolerance.
 
 Expansion strategy: each factor 1/(1 - zeta^e t^len) is a geometric series,
 so a group element's series has coefficients that are Z-linear tallies of
 root-of-unity powers.  Those tallies are accumulated unreduced (exactly) in
-the group ring of Z/m, and only the final averaged coefficients are reduced
-into the canonical basis of Q(zeta_m) modulo the m-th cyclotomic
-polynomial, where they must come out as nonnegative integers.  Elements
-sharing a cycle-shape contribute identical series and are tallied once.
+the group ring of Z/m.  Elements sharing a cycle-shape contribute identical
+series and are tallied once.  The summed tallies are Galois-stable, because
+zeta -> zeta^k (k a unit mod m) permutes G(m, r, n); so each is constant
+on the orbits {u : gcd(u, m) = d}, and is read off as an integer with the
+Moebius function (:func:`_orbit_value`).  A tally that is not constant on
+its orbits, or an average that is not a nonnegative integer, is a bug.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import (
@@ -45,158 +45,30 @@ from .errors import (
 DEFAULT_BUDGET = 10**7
 
 
-def _polydiv_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact division of integer polynomials with monic divisor."""
-    num_l = list(num)
-    deg_d = len(den) - 1
-    deg_q = len(num_l) - 1 - deg_d
-    quot = [0] * (deg_q + 1)
-    for i in range(deg_q, -1, -1):
-        c = num_l[i + deg_d]
-        quot[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num_l[i + j] -= c * dj
-    if any(num_l[: deg_d]):
-        raise InternalArithmeticError("non-exact cyclotomic polynomial division")
-    return tuple(quot)
+def _mobius(n: int) -> int:
+    """mu(n): (-1)^k if n is a product of k distinct primes, else 0."""
+    mu, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
 
 
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients (ascending) of the m-th cyclotomic polynomial."""
-    poly = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
-    return poly
+def _orbit_value(tally: list[int], m: int) -> int | None:
+    """sum_u tally[u] * zeta^u for zeta a primitive m-th root of unity, or
+    None unless the tally is constant on every Galois orbit.
 
-
-@lru_cache(maxsize=None)
-def _zeta_power_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """x^j mod Phi_m for 0 <= j < m, as integer coefficient rows.
-
-    Since Phi_m divides x^m - 1, higher powers reduce by exponent mod m.
+    The orbits of zeta -> zeta^k (k a unit mod m) on Z/m are the sets
+    {u : gcd(u, m) = d} for d | m, and the zeta^u of one orbit are the
+    primitive (m/d)-th roots of unity, which sum to mu(m/d).
     """
-    phi = cyclotomic_polynomial(m)
-    deg = len(phi) - 1
-    top = tuple(-c for c in phi[:deg])  # x^deg == top in the quotient
-    rows: list[tuple[int, ...]] = [
-        tuple(1 if i == j else 0 for i in range(deg)) for j in range(min(deg, m))
-    ]
-    for _ in range(deg, m):
-        prev = rows[-1]
-        carry = prev[deg - 1]
-        shifted = (0,) + prev[: deg - 1]
-        rows.append(tuple(shifted[i] + carry * top[i] for i in range(deg)))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class CyclotomicElement:
-    """An element of Q(zeta_m) in the power basis 1, zeta, ..., zeta^(phi-1).
-
-    Coefficients are exact rationals; the vector length is the degree of
-    the m-th cyclotomic polynomial.
-    """
-
-    conductor: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        deg = len(cyclotomic_polynomial(self.conductor)) - 1
-        if len(self.coeffs) != deg:
-            raise InvalidParametersError(
-                f"coefficient vector of length {len(self.coeffs)} for conductor "
-                f"{self.conductor} (expected {deg})"
-            )
-
-    @classmethod
-    def from_rational(cls, m: int, value) -> "CyclotomicElement":
-        deg = len(cyclotomic_polynomial(m)) - 1
-        coeffs = [Fraction(0)] * deg
-        coeffs[0] = Fraction(value)
-        return cls(m, tuple(coeffs))
-
-    @classmethod
-    def zero(cls, m: int) -> "CyclotomicElement":
-        return cls.from_rational(m, 0)
-
-    @classmethod
-    def one(cls, m: int) -> "CyclotomicElement":
-        return cls.from_rational(m, 1)
-
-    @classmethod
-    def zeta_power(cls, m: int, e: int) -> "CyclotomicElement":
-        row = _zeta_power_table(m)[e % m]
-        return cls(m, tuple(Fraction(c) for c in row))
-
-    @classmethod
-    def from_power_tally(cls, m: int, counts) -> "CyclotomicElement":
-        """Reduce an integer tally {exponent: multiplicity} of zeta powers."""
-        table = _zeta_power_table(m)
-        deg = len(table[0])
-        vec = [0] * deg
-        for e, c in enumerate(counts):
-            if c:
-                row = table[e % m]
-                for i in range(deg):
-                    vec[i] += c * row[i]
-        return cls(m, tuple(Fraction(v) for v in vec))
-
-    def _coerce(self, other) -> "CyclotomicElement":
-        if isinstance(other, CyclotomicElement):
-            if other.conductor != self.conductor:
-                raise InvalidParametersError("mixed cyclotomic conductors")
-            return other
-        return CyclotomicElement.from_rational(self.conductor, other)
-
-    def __add__(self, other) -> "CyclotomicElement":
-        o = self._coerce(other)
-        return CyclotomicElement(
-            self.conductor, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.conductor, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other) -> "CyclotomicElement":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "CyclotomicElement":
-        o = self._coerce(other)
-        a, b = self.coeffs, o.coeffs
-        deg = len(a)
-        prod = [Fraction(0)] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        table = _zeta_power_table(self.conductor)
-        vec = [Fraction(0)] * deg
-        for e, c in enumerate(prod):
-            if c:
-                row = table[e % self.conductor]
-                for i in range(deg):
-                    vec[i] += c * row[i]
-        return CyclotomicElement(self.conductor, tuple(vec))
-
-    __rmul__ = __mul__
-
-    @property
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise InternalArithmeticError(f"{self} is not rational")
-        return self.coeffs[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CyclotomicElement(m={self.conductor}, {self.coeffs})"
+    if any(t != tally[math.gcd(u, m) % m] for u, t in enumerate(tally)):
+        return None
+    return sum(tally[d % m] * _mobius(m // d) for d in range(1, m + 1) if m % d == 0)
 
 
 @dataclass(frozen=True)
@@ -327,8 +199,9 @@ def molien_series(
     """The graded dimension series of the invariant ring of G(m, r, n),
     exact up to t^(order-1).
 
-    Coefficients are verified to be nonnegative integers before returning;
-    anything else raises InternalArithmeticError (a bug, never bad input).
+    Each coefficient's summed tally is verified to be Galois-stable and its
+    average a nonnegative integer before returning; anything else raises
+    InternalArithmeticError (a bug, never bad input).
     """
     if order < 1:
         raise InvalidParametersError(f"truncation order must be >= 1, got {order}")
@@ -346,19 +219,19 @@ def molien_series(
 
     size = group_order(m, r, n)
     coeffs = []
-    for j in range(order):
-        value = CyclotomicElement.from_power_tally(m, total[j])
-        if not value.is_rational:
+    for j, tally in enumerate(total):
+        value = _orbit_value(tally, m)
+        if value is None:
             raise InternalArithmeticError(
-                f"Molien coefficient of t^{j} for G({m},{r},{n}) is irrational"
+                f"Molien tally of t^{j} for G({m},{r},{n}) is not Galois-stable"
             )
-        num = value.as_rational() / size
-        if num.denominator != 1 or num < 0:
+        coeff, rem = divmod(value, size)
+        if rem or coeff < 0:
             raise InternalArithmeticError(
-                f"Molien coefficient of t^{j} for G({m},{r},{n}) is {num}, "
-                "not a nonnegative integer"
+                f"Molien coefficient of t^{j} for G({m},{r},{n}) is "
+                f"{value}/{size}, not a nonnegative integer"
             )
-        coeffs.append(int(num))
+        coeffs.append(coeff)
     return TruncatedSeries(order, tuple(coeffs))
 
 
@@ -376,25 +249,19 @@ def doubled_degrees(m: int, r: int, n: int) -> tuple[int, ...]:
 def verify_degrees(m: int, r: int, n: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Check the claimed degrees against the group-average series.
 
-    True iff  molien_series * prod_i (1 - t^{d_i})  equals 1 exactly up to
-    order 1 + sum(d_i).  The window is wide enough: the candidate product
-    of 1/(1 - t^{d_i}) and the true series first disagree no later than the
-    degree of prod (1 - t^{d_i}) itself, which the window covers in full.
+    True iff  molien_series  equals  prod_i 1 / (1 - t^{d_i})  exactly up to
+    order 1 + sum(d_i); as prod_i (1 - t^{d_i}) has constant term 1, this is
+    the identity  molien_series * prod_i (1 - t^{d_i}) = 1  there.  The
+    window is wide enough: the candidate product of 1/(1 - t^{d_i}) and the
+    true series first disagree no later than the degree of
+    prod (1 - t^{d_i}) itself, which the window covers in full.
     """
     degs = invariant_degrees(m, r, n)
     order = 1 + sum(degs)
     series = molien_series(m, r, n, order, budget)
 
-    poly = [0] * order
-    poly[0] = 1
+    closed = [1] + [0] * (order - 1)
     for d in degs:
-        nxt = poly[:]
         for j in range(d, order):
-            nxt[j] -= poly[j - d]
-        poly = nxt
-
-    for j in range(order):
-        acc = sum(series[k] * poly[j - k] for k in range(j + 1))
-        if acc != (1 if j == 0 else 0):
-            return False
-    return True
+            closed[j] += closed[j - d]
+    return series.coefficients == tuple(closed)

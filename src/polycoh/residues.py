@@ -33,9 +33,6 @@ the lcm L = lcm(M, N) of two moduli.  With g = gcd(M, N):
   projection mod d is N / d times smaller, O(|S|) per modulus tried; a
   bitmask is iff shifting it right by d bits leaves its low N - d bits.
   :func:`normalize` projects, because a user's modulus may be 2^61 - 1.
-
-:func:`lift` is kept for callers of the public API; the operations above
-do not use it.  It costs O(|S| * L / M).
 """
 
 from __future__ import annotations
@@ -173,16 +170,6 @@ def normalize(s: ResidueSet) -> ResidueSet:
                 break
             n, residues, size = d, proj, len(proj)
     return s if n == s.modulus else ResidueSet(n, residues)
-
-
-def lift(s: ResidueSet, modulus: int) -> frozenset[int]:
-    """Residues of ``s`` re-expressed modulo a multiple of its modulus."""
-    if modulus % s.modulus:
-        raise InvalidModulusError(
-            f"{modulus} is not a multiple of the set's modulus {s.modulus}"
-        )
-    step = s.modulus
-    return frozenset(r + k * step for r in s.residues for k in range(modulus // step))
 
 
 # -- combinations ----------------------------------------------------------------

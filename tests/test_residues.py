@@ -20,7 +20,6 @@ from polycoh.residues import (
     exclude_prime,
     from_min_prime,
     intersect,
-    lift,
     make,
     normalize,
     prime_subset,
@@ -287,7 +286,3 @@ def test_json_dict_is_canonical():
     assert as_json_dict(ALL_PRIMES) == {"modulus": 1, "residues": [0]}
     assert as_json_dict(NO_PRIMES) == {"modulus": 1, "residues": []}
 
-
-def test_lift_requires_multiple():
-    with pytest.raises(InvalidModulusError):
-        lift(rs(4, [1]), 6)

@@ -5,9 +5,8 @@ residues there, as the engine once did; the engine now pairs classes by the
 Chinese remainder theorem and unions bitmasks.  Both must agree exactly on
 random sets with moduli up to 10^4, including empty, full, periodic and
 non-coprime ones.  Pairs are drawn with a common factor so that their lcm
-stays small enough for the oracles to lift.  The last tests cover the
-limits (unions past the bitmask limit, the residue cap of from_min_prime)
-and the public ``lift``, which the operations no longer use.
+stays small enough for the oracles to lift.  The last test covers the
+limits (unions past the bitmask limit, the residue cap of from_min_prime).
 """
 
 import math
@@ -27,7 +26,6 @@ from polycoh.residues import (
     exclude_prime,
     from_min_prime,
     intersect,
-    lift,
     make,
     normalize,
     prime_subset,
@@ -196,13 +194,3 @@ def test_union_and_from_min_prime_name_their_limits():
         from_min_prime(24)
     assert from_min_prime(23).modulus == 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19
 
-
-def test_lift_of_a_sparse_set_to_a_large_modulus():
-    p = 2**61 - 1
-    assert lift(make(p, [1]), p) == {1}
-    assert lift(make(10**9, [5]), 2 * 10**9) == {5, 10**9 + 5}
-    rng = random.Random(3207)
-    for _ in range(200):
-        s = random_set(rng, rng.randint(1, 60))
-        k = rng.randint(1, 5)
-        assert lift(s, s.modulus * k) == old_lift(s, s.modulus * k)
