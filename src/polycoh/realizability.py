@@ -3,23 +3,25 @@
 A type is realizable over a coefficient ring exactly when, at every prime
 that is not a unit in the ring, it decomposes into catalog entries
 occurring at that prime.  Consequently the primes at which a type is
-realizable form a finite union of congruence classes -- computed here as
-the union over all decompositions of the intersection of the parts' prime
-sets -- and a ring enters the story only through its set of non-unit
-primes, described by a :class:`PrimeSpec`.
+realizable form a finite union of congruence classes -- the union over all
+decompositions of the intersection of the parts' prime sets, found here by
+branch-and-bound without listing the decompositions -- and a ring enters
+the story only through its set of non-unit primes, described by a
+:class:`PrimeSpec`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import cache
 from itertools import count
+from operator import ge, sub
 from typing import Callable
 
 from .catalog import Catalog, DegreeMultiset
-from .decompose import Decomposition, decompose
-from .errors import InvalidParametersError
+from .decompose import SEARCH_NODES, Decomposition, candidate_table, walk
+from .errors import InvalidParametersError, SizeLimitError
 from .ntheory import (
     ensure_prime,
     ensure_probable_prime,
@@ -39,6 +41,7 @@ from .residues import (
     normalize,
     prime_subset,
     union,
+    _within,
 )
 
 # Scan bound for exhibiting a concrete failing prime from a listable spec;
@@ -124,28 +127,72 @@ class RealizabilityReport:
 
 
 class _Search:
-    """The one search behind a query: the target's decompositions, found
-    once, and each part's prime set, looked up once on first use."""
+    """The one search behind a query: the target's candidates, listed once,
+    and each part's prime set, looked up once on first use.  Two walks read
+    them; neither lists the decompositions."""
 
     def __init__(self, cat: Catalog, target) -> None:
-        self.decs = decompose(cat, target)
+        self.target = DegreeMultiset.of(target)
+        self.table = candidate_table(cat, self.target)
         self.part_primes = cache(cat.prime_set_of)
 
     def prime_set(self) -> ResidueSet:
-        out = NO_PRIMES
-        for dec in self.decs:
-            dec_set = reduce(intersect, map(self.part_primes, dec.parts), ALL_PRIMES)
-            out = union(out, dec_set)
-            if out == ALL_PRIMES:
-                break
-        return out
+        """The union over decompositions of the intersection of their parts'
+        sets, by depth-first branch-and-bound.
+
+        The walk branches on the largest remaining degree, over the parts
+        whose largest degree it is, those that occur at every prime first,
+        in non-decreasing order within a run of one degree.  A branch whose
+        running intersection lies in the union found so far, integer by
+        integer, cannot enlarge it and is pruned, so the class union stays
+        exact.  Degree multisets are count tuples over the distinct degrees.
+        """
+        degs = sorted(self.target.counter(), reverse=True)
+        buckets = [[] for _ in degs]
+        for _, inst, need in self.table:
+            buckets[degs.index(max(need))].append((inst, tuple(need[d] for d in degs)))
+        ordered = {}
+        meet = cache(intersect)
+        found = NO_PRIMES
+        inside = {}  # running set -> whether it lies in found, until found grows
+        nodes = 0
+        stack = [(tuple(self.target.counter()[d] for d in degs), 0, 0, ALL_PRIMES)]
+        while stack:
+            remaining, top, start, run = stack.pop()
+            if run not in inside:
+                inside[run] = _within(run, found)
+            if inside[run]:
+                continue
+            nodes += 1
+            if nodes > SEARCH_NODES:
+                raise SizeLimitError(f"the search passed its limit of {SEARCH_NODES} nodes")
+            prev_top = top
+            while top < len(degs) and not remaining[top]:
+                top += 1
+            if top == len(degs):
+                found = union(found, run)
+                if found == ALL_PRIMES:
+                    break
+                inside.clear()
+                continue
+            if top not in ordered:
+                ordered[top] = sorted(
+                    buckets[top], key=lambda c: self.part_primes(c[0]) != ALL_PRIMES
+                )
+            bucket = ordered[top]
+            for i in reversed(range(start if top == prev_top else 0, len(bucket))):
+                inst, need = bucket[i]
+                if all(map(ge, remaining, need)):
+                    child = tuple(map(sub, remaining, need))
+                    stack.append((child, top, i, meet(run, self.part_primes(inst))))
+        return found
 
     def witness(self, p: int) -> Decomposition | None:
-        """The first decomposition whose parts all occur at ``p``, or None."""
-        for dec in self.decs:
-            if all(p in self.part_primes(part) for part in dec.parts):
-                return dec
-        return None
+        """The canonical first decomposition whose parts all occur at ``p``,
+        or None: a walk over the candidates that occur at ``p`` only."""
+        at_p = [c for c in self.table if p in self.part_primes(c[1])]
+        found = walk(at_p, self.target, shortest=True)
+        return found[0] if found else None
 
 
 def prime_set_of_type(cat: Catalog, target) -> ResidueSet:

@@ -11,11 +11,23 @@ e_i = c + m * k_i, an orbit is a multiset of n numbers k_i >= 0 summing to
 is involved.
 """
 
+import math
 import time
+from collections import Counter
 from functools import lru_cache
 from itertools import count, takewhile
 
 from polycoh.molien import doubled_degrees, invariant_degrees, molien_series
+from polycoh.ntheory import prime_factors
+from polycoh.residues import normalize
+
+# Every even degree up to 120, four times: its candidates are every catalog
+# instance with degrees <= 120.
+UP_TO_120 = [d for d in range(2, 121, 2) for _ in range(4)]
+
+# The Lie rows as monomial groups: (m, r) of G(m, r, n), and whether the
+# catalog row is the reflection representation on the sum-zero hyperplane.
+LIE_ROWS = {"SU": (1, 1, True), "Sp": (2, 1, False), "Spin": (2, 2, False)}
 
 
 @lru_cache(maxsize=None)
@@ -81,3 +93,39 @@ def test_orbit_counts_equal_catalog_degrees_up_to_120(cat):
                 checked += 1
     assert checked == 560
     assert time.perf_counter() - start < 10
+
+
+def test_orbit_counts_equal_the_lie_rows_up_to_120(cat):
+    # SU(n) = G(1, 1, n) without its invariant x_1 + ... + x_n of degree 1,
+    # Sp(n) = G(2, 1, n), Spin(2n) = G(2, 2, n).  Two products of
+    # 1 / (1 - t^d) over degrees <= D that agree up to t^D have the same
+    # degrees (their ratio starts 1 + e t^d at the least d where the
+    # multiplicities differ), so the series are compared up to t^D only.
+    checked = Counter()
+    for inst in cat.candidates(UP_TO_120):
+        if inst.family not in LIE_ROWS:
+            continue
+        m, r, reduced = LIE_ROWS[inst.family]
+        (n,) = inst.params
+        halved = [d // 2 for d in cat.degrees_of(inst)]
+        order = 1 + max(halved)
+        counts = orbit_counts(m, r, n, order)
+        if reduced:
+            counts = [c - (counts[j - 1] if j else 0) for j, c in enumerate(counts)]
+        assert counts == product_series(halved, order), inst.name
+        checked[inst.family] += 1
+    assert checked == {"SU": 59, "Sp": 30, "Spin": 29}
+
+
+def test_catalog_prime_sets_are_unit_subgroups(cat):
+    # At its canonical modulus N, a catalog prime set is a subgroup of
+    # (Z/N)^x, once the classes of the primes dividing N are dropped: the
+    # shape of the primes that split completely in an abelian field.
+    instances = cat.candidates(UP_TO_120)
+    assert {sp.name for sp in cat.sporadics} <= {inst.name for inst in instances}
+    for s in {normalize(cat.prime_set_of(inst)) for inst in instances}:
+        n = s.modulus
+        units = s.residues - {q % n for q in prime_factors(n)}
+        assert 1 % n in units, s
+        assert all(math.gcd(a, n) == 1 for a in units), s
+        assert all(a * b % n in units for a in units for b in units), s

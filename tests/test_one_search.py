@@ -1,10 +1,11 @@
-"""One decomposition search per query.
+"""One search per query, and no list of decompositions.
 
 Every realizability query reads its prime set, its per-prime verdicts and
-its witnesses from a single list of decompositions, and looks up each
-distinct part's prime set at most once.  The finite ring spec is checked
-against a copy of the per-prime path it replaced, which searched once per
-listed prime.
+its witnesses from one candidate list, walked without ever listing the
+decompositions (``decompose`` is never called), and looks up each distinct
+part's prime set at most once.  The finite ring spec is checked against a
+copy of the per-prime path it replaced, which searched once per listed
+prime.
 """
 
 from collections import Counter
@@ -45,29 +46,36 @@ TYPES = ("", "4,6", "4,12", "12,16", "4,4,8,12", "4,6,8,12,16", "SU(5)+Sp(2)", "
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts searches (under both names of ``decompose``) and prime-set
-    lookups per part; ``counts.clear()`` starts a new query."""
+    """Counts decomposition listings, candidate lists, unions of the prime
+    set walk and prime-set lookups per part; ``counts.clear()`` starts a new
+    query."""
     counts = Counter()
-    search = DECOMPOSE.decompose
-    lookup = Catalog.prime_set_of
 
-    def counting_search(cat, target):
-        counts["search"] += 1
-        return search(cat, target)
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    lookup = Catalog.prime_set_of
 
     def counting_lookup(self, inst):
         counts[inst] += 1
         return lookup(self, inst)
 
-    monkeypatch.setattr(DECOMPOSE, "decompose", counting_search)
-    monkeypatch.setattr(REALIZABILITY, "decompose", counting_search)
+    for name in ("decompose", "decompose_at_prime"):
+        monkeypatch.setattr(DECOMPOSE, name, counting("listing", getattr(DECOMPOSE, name)))
+    for name in ("candidate_table", "union"):
+        monkeypatch.setattr(REALIZABILITY, name, counting(name, getattr(REALIZABILITY, name)))
     monkeypatch.setattr(Catalog, "prime_set_of", counting_lookup)
     return counts
 
 
 def _assert_one_search(counts, query):
-    lookups = {part: n for part, n in counts.items() if part != "search"}
-    assert counts["search"] == 1, query
+    lookups = {part: n for part, n in counts.items() if not isinstance(part, str)}
+    assert counts["listing"] == 0, query
+    assert counts["candidate_table"] == 1, query
     assert max(lookups.values(), default=0) <= 1, (query, lookups)
 
 
@@ -107,9 +115,14 @@ def test_finite_spec_matches_the_per_prime_path(cat):
 
 
 def test_prime_set_stops_once_it_holds_every_prime(cat, counted):
-    # SU(8)+SU(8) has 7,588 decompositions; the first, SU(8) + SU(8),
-    # already occurs at every prime, so no other part is looked up.
+    # SU(8)+SU(8) has 7,588 decompositions.  The walk branches on 16 and
+    # tries the parts that occur at every prime first, so its first leaf,
+    # SU(8) + SU(8), already holds every prime: one union, and no part is
+    # looked up past the candidates whose largest degree is 16.
     target = parse_degrees("SU(8)+SU(8)", cat)
     counted.clear()
     assert prime_set_of_type(cat, target) == ALL_PRIMES
-    assert counted == Counter({"search": 1, cat.lookup("SU(8)"): 1})
+    assert counted["union"] == 1
+    looked_up = [part for part in counted if not isinstance(part, str)]
+    assert cat.lookup("SU(8)") in looked_up
+    assert all(cat.degrees_of(part).max_degree == 16 for part in looked_up)
