@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 import time
@@ -31,7 +32,7 @@ from .realizability import (
     realizable_at_prime,
     realizable_over,
 )
-from .residues import as_json_dict, make, normalize
+from .residues import as_json_dict, make
 from .verify import check_integral_realizability, check_p3_realizability
 
 
@@ -78,7 +79,7 @@ def parse_ring(text: str) -> PrimeSpec:
                 residues = [int(x) for x in parts[1].split(",")]
             except ValueError:
                 raise RingSpecError(f"bad residue class numbers in {text!r}") from None
-            return PrimeSpec.listable(normalize(make(modulus, residues)))
+            return PrimeSpec.listable(make(modulus, residues))
         try:
             listed = [int(x) for x in rest.split(",")]
         except ValueError:
@@ -367,9 +368,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cat = builtin()
     try:
-        return args.func(args, cat)
+        code = args.func(args, cat)
+        sys.stdout.flush()
+        return code
     except PolycohError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader closed stdout: send what is left to the null device, so
+        # the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -1,26 +1,27 @@
 """Decompositions of a type into catalog entries.
 
 A decomposition is a multiset of entry instances whose degree multisets
-union to the target exactly.  :func:`walk` finds them: it always branches
-on the smallest remaining degree, every part is chosen during the run of
-steps whose minimum equals the part's own smallest degree, and within such
-a run parts appear in non-decreasing instance order.  That yields each
-decomposition exactly once with no post-hoc deduplication.  The
-``decompose`` subcommand lists them all; realizability queries only walk
-the candidates that occur at a prime, for a witness.
+union to the target exactly.  :func:`walk` is the one search over them,
+behind the ``decompose`` listings, the prime sets and the witnesses of
+realizability.  It always branches on the largest remaining degree, over
+the parts whose own largest degree it is, and within a run of steps on one
+degree it never goes back in the caller's order of the parts.  Every part
+holding that degree is chosen during its run, so each decomposition is
+reached exactly once with no post-hoc deduplication.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import ge, sub
+from typing import Callable, Iterator
 
 from .catalog import Catalog, DegreeMultiset, EntryInstance
 from .errors import SizeLimitError
 from .ntheory import ensure_prime
 
-# Largest number of unpruned nodes any one walk may visit, the prime-set
-# walk of realizability included, before it is refused.
+# Largest number of unpruned nodes any one walk may visit before it is
+# refused.
 SEARCH_NODES = 500_000
 
 
@@ -29,6 +30,10 @@ class Decomposition:
     """A multiset of entry instances, stored in canonical order."""
 
     parts: tuple[EntryInstance, ...]
+
+    @staticmethod
+    def of(parts) -> "Decomposition":
+        return Decomposition(tuple(sorted(parts, key=lambda p: p.sort_key)))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -42,56 +47,64 @@ class Decomposition:
 
 
 def candidate_table(cat: Catalog, target: DegreeMultiset) -> list[tuple]:
-    """The candidates of ``target`` in instance order, as (sort key,
-    instance, degree Counter)."""
-    return [
-        (inst.sort_key, inst, cat.degrees_of(inst).counter())
-        for inst in cat.candidates(target)
-    ]
+    """The candidates of ``target`` in instance order, as (instance, degree
+    Counter)."""
+    return [(inst, cat.degrees_of(inst).counter()) for inst in cat.candidates(target)]
 
 
-def walk(table: list[tuple], target: DegreeMultiset, shortest: bool = False) -> list[Decomposition]:
-    """The decompositions of ``target`` into parts of ``table``, canonically
-    ordered; with ``shortest``, only the first of them.
+def walk(
+    table: list[tuple],
+    target: DegreeMultiset,
+    fold: Callable = lambda chosen, part: chosen + (part,),
+    value=(),
+    prune: Callable | None = None,
+) -> Iterator:
+    """The value folded along each decomposition of ``target`` into the
+    parts of ``table``, (part, degree Counter) rows, one per decomposition,
+    depth first.
 
-    A target degree that no part holds ends the walk at once.  The shortest
-    walk prunes every branch that already has as many parts as the best
-    leaf found so far.
+    Each branch starts from ``value`` and folds ``fold(value, part)`` per
+    part; by default the value is the tuple of parts chosen.  A frame with
+    ``prune(value, leaf)`` true is dropped before it counts as a node, and
+    the caller may change what ``prune`` reads between two leaves.  A
+    target degree that no part holds ends the walk at once.
     """
-    remaining = target.counter()
-    if not remaining.keys() <= {d for _, _, need in table for d in need}:
-        return []
-    by_min: dict[int, list[tuple]] = {}
-    for item in table:
-        by_min.setdefault(min(item[2]), []).append(item)
+    counts = target.counter()
+    if not counts.keys() <= {d for _, need in table for d in need}:
+        return
+    degs = sorted(counts, reverse=True)
+    buckets = [[] for _ in degs]
+    for part, need in table:
+        buckets[degs.index(max(need))].append((part, tuple(need[d] for d in degs)))
 
-    # Depth-first over frames (remaining degrees, previous minimum, previous
-    # key, parts chosen so far): an explicit stack, as the depth is unbounded.
-    decs = []
-    bound = math.inf
+    # Depth-first over frames (remaining counts, index of the degree branched
+    # on, first bucket index allowed, value): an explicit stack, as the depth
+    # is unbounded.
     nodes = 0
-    stack = [(remaining, None, None, ())]
+    stack = [(tuple(counts[d] for d in degs), 0, 0, value)]
     while stack:
-        remaining, prev_min, prev_key, chosen = stack.pop()
-        if len(chosen) + bool(remaining) > bound:
+        remaining, top, start, value = stack.pop()
+        prev_top = top
+        while top < len(degs) and not remaining[top]:
+            top += 1
+        leaf = top == len(degs)
+        if prune is not None and prune(value, leaf):
             continue
         nodes += 1
         if nodes > SEARCH_NODES:
             raise SizeLimitError(f"the search passed its limit of {SEARCH_NODES} nodes")
-        if not remaining:
-            if shortest and len(chosen) < bound:
-                decs, bound = [], len(chosen)
-            decs.append(Decomposition(tuple(sorted(chosen, key=lambda p: p.sort_key))))
+        if leaf:
+            yield value
             continue
-        d = min(remaining)
-        for key, inst, need in by_min.get(d, ()):
-            if d == prev_min and key < prev_key:
-                continue
-            if all(remaining[x] >= c for x, c in need.items()):
-                stack.append((remaining - need, d, key, chosen + (inst,)))
+        bucket = buckets[top]
+        for i in reversed(range(start if top == prev_top else 0, len(bucket))):
+            part, need = bucket[i]
+            if all(map(ge, remaining, need)):
+                stack.append((tuple(map(sub, remaining, need)), top, i, fold(value, part)))
 
-    decs.sort(key=Decomposition.sort_key)
-    return decs[:1] if shortest else decs
+
+def _listing(table: list[tuple], target: DegreeMultiset) -> list[Decomposition]:
+    return sorted(map(Decomposition.of, walk(table, target)), key=Decomposition.sort_key)
 
 
 def decompose(cat: Catalog, target) -> list[Decomposition]:
@@ -102,7 +115,7 @@ def decompose(cat: Catalog, target) -> list[Decomposition]:
     is independent of the input degree order.
     """
     target = DegreeMultiset.of(target)
-    return walk(candidate_table(cat, target), target)
+    return _listing(candidate_table(cat, target), target)
 
 
 def decompose_at_prime(cat: Catalog, target, p: int) -> list[Decomposition]:
@@ -110,4 +123,4 @@ def decompose_at_prime(cat: Catalog, target, p: int) -> list[Decomposition]:
     ensure_prime(p)
     target = DegreeMultiset.of(target)
     table = candidate_table(cat, target)
-    return walk([c for c in table if cat.occurs_at(c[1], p)], target)
+    return _listing([c for c in table if cat.occurs_at(c[0], p)], target)

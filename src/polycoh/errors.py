@@ -35,7 +35,8 @@ class InvalidParametersError(PolycohError, ValueError):
 
 class SizeLimitError(PolycohError, RuntimeError):
     """A computation would exceed its budget: the elements of a group
-    enumeration, or the Pollard-Brent rho steps to factor an integer."""
+    enumeration, the Pollard-Brent rho steps to factor an integer, or the
+    nodes of a decomposition walk."""
 
 
 class InternalArithmeticError(PolycohError, RuntimeError):

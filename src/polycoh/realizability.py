@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import count
-from operator import ge, sub
 from typing import Callable
 
 from .catalog import Catalog, DegreeMultiset
-from .decompose import SEARCH_NODES, Decomposition, candidate_table, walk
-from .errors import InvalidParametersError, SizeLimitError
+from .decompose import Decomposition, candidate_table, walk
+from .errors import InvalidParametersError
 from .ntheory import (
     ensure_prime,
     ensure_probable_prime,
@@ -53,9 +52,9 @@ WITNESS_PRIME_BOUND = 10**6
 class PrimeSpec:
     """The set of primes that are not units in the coefficient ring.
 
-    Variants: every prime ("all"), an explicit finite list ("finite"), all
-    primes outside a finite list ("cofinite"), or a residue-class set
-    ("listable").
+    Variants: an explicit finite list ("finite"), all primes outside a
+    finite list ("cofinite", every prime when the list is empty), or a
+    residue-class set ("listable").
     """
 
     kind: str
@@ -64,7 +63,7 @@ class PrimeSpec:
 
     @staticmethod
     def all_primes() -> "PrimeSpec":
-        return PrimeSpec("all")
+        return PrimeSpec("cofinite")
 
     @staticmethod
     def finite(primes) -> "PrimeSpec":
@@ -83,11 +82,11 @@ class PrimeSpec:
         return PrimeSpec("listable", (), normalize(classes))
 
     def describe(self) -> str:
-        if self.kind == "all":
-            return "all primes"
         if self.kind == "finite":
             return "primes {" + ", ".join(map(str, self.primes)) + "}"
         if self.kind == "cofinite":
+            if not self.primes:
+                return "all primes"
             return "all primes except {" + ", ".join(map(str, self.primes)) + "}"
         c = self.classes
         return f"primes in {sorted(c.residues)} mod {c.modulus}"
@@ -128,8 +127,9 @@ class RealizabilityReport:
 
 class _Search:
     """The one search behind a query: the target's candidates, listed once,
-    and each part's prime set, looked up once on first use.  Two walks read
-    them; neither lists the decompositions."""
+    and each part's prime set, looked up once.  The prime set and the
+    witnesses both read :func:`walk` over them; neither lists the
+    decompositions."""
 
     def __init__(self, cat: Catalog, target) -> None:
         self.target = DegreeMultiset.of(target)
@@ -140,59 +140,44 @@ class _Search:
         """The union over decompositions of the intersection of their parts'
         sets, by depth-first branch-and-bound.
 
-        The walk branches on the largest remaining degree, over the parts
-        whose largest degree it is, those that occur at every prime first,
-        in non-decreasing order within a run of one degree.  A branch whose
-        running intersection lies in the union found so far, integer by
-        integer, cannot enlarge it and is pruned, so the class union stays
-        exact.  Degree multisets are count tuples over the distinct degrees.
+        The walk reads each part as its prime set, those that occur at
+        every prime first, and folds the running intersection along each
+        branch.  A branch whose running intersection lies in the union found
+        so far, integer by integer, cannot enlarge it and is pruned, so the
+        class union stays exact.
         """
-        degs = sorted(self.target.counter(), reverse=True)
-        buckets = [[] for _ in degs]
-        for _, inst, need in self.table:
-            buckets[degs.index(max(need))].append((inst, tuple(need[d] for d in degs)))
-        ordered = {}
-        meet = cache(intersect)
+        table = [(self.part_primes(inst), need) for inst, need in self.table]
+        table.sort(key=lambda c: c[0] != ALL_PRIMES)
         found = NO_PRIMES
         inside = {}  # running set -> whether it lies in found, until found grows
-        nodes = 0
-        stack = [(tuple(self.target.counter()[d] for d in degs), 0, 0, ALL_PRIMES)]
-        while stack:
-            remaining, top, start, run = stack.pop()
+
+        def covered(run: ResidueSet, leaf: bool) -> bool:
             if run not in inside:
                 inside[run] = _within(run, found)
-            if inside[run]:
-                continue
-            nodes += 1
-            if nodes > SEARCH_NODES:
-                raise SizeLimitError(f"the search passed its limit of {SEARCH_NODES} nodes")
-            prev_top = top
-            while top < len(degs) and not remaining[top]:
-                top += 1
-            if top == len(degs):
-                found = union(found, run)
-                if found == ALL_PRIMES:
-                    break
-                inside.clear()
-                continue
-            if top not in ordered:
-                ordered[top] = sorted(
-                    buckets[top], key=lambda c: self.part_primes(c[0]) != ALL_PRIMES
-                )
-            bucket = ordered[top]
-            for i in reversed(range(start if top == prev_top else 0, len(bucket))):
-                inst, need = bucket[i]
-                if all(map(ge, remaining, need)):
-                    child = tuple(map(sub, remaining, need))
-                    stack.append((child, top, i, meet(run, self.part_primes(inst))))
+            return inside[run]
+
+        for run in walk(table, self.target, cache(intersect), ALL_PRIMES, covered):
+            found = union(found, run)
+            if found == ALL_PRIMES:
+                break
+            inside.clear()
         return found
 
     def witness(self, p: int) -> Decomposition | None:
         """The canonical first decomposition whose parts all occur at ``p``,
-        or None: a walk over the candidates that occur at ``p`` only."""
-        at_p = [c for c in self.table if p in self.part_primes(c[1])]
-        found = walk(at_p, self.target, shortest=True)
-        return found[0] if found else None
+        or None: a walk over the candidates that occur at ``p`` only, which
+        drops every branch with more parts than the best leaf found."""
+        at_p = [c for c in self.table if p in self.part_primes(c[0])]
+        best = None
+
+        def longer(chosen: tuple, leaf: bool) -> bool:
+            return best is not None and len(chosen) + (not leaf) > len(best.parts)
+
+        for chosen in walk(at_p, self.target, prune=longer):
+            dec = Decomposition.of(chosen)
+            if best is None or dec.sort_key() < best.sort_key():
+                best = dec
+        return best
 
 
 def prime_set_of_type(cat: Catalog, target) -> ResidueSet:
@@ -217,16 +202,17 @@ def realizable_over(cat: Catalog, target, spec: PrimeSpec) -> RealizabilityRepor
 
     True exactly when every prime of the spec lies in the type's prime set.
     On failure a concrete failing prime is exhibited whenever one exists
-    (always for the all/finite/cofinite variants; "all" is the cofinite spec
-    that excludes nothing); a listable spec whose difference contains no
-    prime below the scan bound carries the offending residue class instead.
+    (always for the finite and cofinite variants, all primes being the
+    cofinite spec that excludes nothing); a listable spec whose difference
+    contains no prime below the scan bound carries the offending residue
+    class instead.
     """
     target = DegreeMultiset.of(target)
     search = _Search(cat, target)
     ps = search.prime_set()
     report = RealizabilityReport(target, spec, False, ps)
 
-    if spec.kind in ("all", "cofinite"):
+    if spec.kind == "cofinite":
         excluded = set(spec.primes)
         report.failing_prime = _uncovered_prime(ps, excluded)
         if report.failing_prime is None:

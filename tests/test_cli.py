@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import polycoh
 from polycoh.cli import main, parse_degrees, parse_ring
 from polycoh.catalog import builtin
 from polycoh.errors import NotAPrimeError, RingSpecError
@@ -32,6 +37,7 @@ def test_parse_ring_inverted_integers():
     assert parse_ring("Z[1/2]") == PrimeSpec.cofinite([2])
     assert parse_ring("Z[1/6]") == PrimeSpec.cofinite([2, 3])
     assert parse_ring("Z[1/2,1/15]") == PrimeSpec.cofinite([2, 3, 5])
+    assert parse_ring("Z[1/1]") == PrimeSpec.all_primes() == parse_ring("Z")
     with pytest.raises(RingSpecError):
         parse_ring("Z[1/0]")
     with pytest.raises(RingSpecError):
@@ -144,6 +150,23 @@ def test_decompose_command(capsys):
         capsys, "decompose", "--degrees", "4,12", "--prime", "3"
     )
     assert out.splitlines() == ["G_2"]
+
+
+def test_a_closed_stdout_ends_the_listing_quietly():
+    # The listing is about 200 KB, more than a pipe holds, so the reader
+    # closes it while it is still being written.
+    env = dict(os.environ, PYTHONPATH=str(Path(polycoh.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "polycoh", "decompose", "--degrees", "SU(8)+SU(8)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"SU(8) + SU(8)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) != 0
+    assert err == b""
 
 
 def test_catalog_text_and_json(capsys):

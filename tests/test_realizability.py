@@ -242,4 +242,5 @@ def test_prime_spec_describe():
     assert PrimeSpec.all_primes().describe() == "all primes"
     assert PrimeSpec.finite([5, 2]).describe() == "primes {2, 5}"
     assert PrimeSpec.cofinite([2]).describe() == "all primes except {2}"
+    assert PrimeSpec.cofinite([]).describe() == "all primes"
     assert "mod 4" in PrimeSpec.listable(make(4, [1])).describe()
