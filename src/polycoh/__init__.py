@@ -62,7 +62,6 @@ from .residues import (
     as_json_dict,
     class_contains_prime,
     contains_prime,
-    covers_all_primes,
     exclude_prime,
     from_min_prime,
     intersect,

@@ -34,13 +34,11 @@ from .residues import (
     ResidueSet,
     as_json_dict,
     class_contains_prime,
-    covers_all_primes,
     intersect,
     make,
     normalize,
     prime_subset,
     union,
-    _within,
 )
 
 # Scan bound for exhibiting a concrete failing prime from a listable spec;
@@ -89,6 +87,8 @@ class PrimeSpec:
                 return "all primes"
             return "all primes except {" + ", ".join(map(str, self.primes)) + "}"
         c = self.classes
+        if not c.residues:
+            return "no primes"
         return f"primes in {sorted(c.residues)} mod {c.modulus}"
 
 
@@ -143,8 +143,8 @@ class _Search:
         The walk reads each part as its prime set, those that occur at
         every prime first, and folds the running intersection along each
         branch.  A branch whose running intersection lies in the union found
-        so far, integer by integer, cannot enlarge it and is pruned, so the
-        class union stays exact.
+        so far, prime by prime, cannot enlarge it and is pruned, so the
+        union stays exact.
         """
         table = [(self.part_primes(inst), need) for inst, need in self.table]
         table.sort(key=lambda c: c[0] != ALL_PRIMES)
@@ -153,7 +153,7 @@ class _Search:
 
         def covered(run: ResidueSet, leaf: bool) -> bool:
             if run not in inside:
-                inside[run] = _within(run, found)
+                inside[run] = prime_subset(run, found)
             return inside[run]
 
         for run in walk(table, self.target, cache(intersect), ALL_PRIMES, covered):
@@ -276,7 +276,7 @@ def _uncovered_prime(ps: ResidueSet, excluded: set[int]) -> int | None:
         return p not in ps and p not in excluded
 
     factors = prime_factors(ps.modulus)
-    if covers_all_primes(make(ps.modulus, [*ps.residues, *factors])):
+    if prime_subset(ALL_PRIMES, make(ps.modulus, [*ps.residues, *factors])):
         return next(filter(fails, factors), None)
     return _first_prime(ALL_PRIMES, fails)
 

@@ -1,38 +1,35 @@
 """Exact algebra of residue-class sets of primes.
 
 A :class:`ResidueSet` stores a modulus ``N`` and a set of residues in
-``[0, N)`` and stands for every integer congruent to one of them.  Sets of
+``[0, N)`` and stands for every prime congruent to one of them.  Sets of
 this shape are closed under finite unions and intersections, decide prime
-membership exactly, and admit a unique minimal-modulus canonical form --
-which is what makes them usable as "occurs for p = a (mod N)" conditions.
+membership exactly, and have a unique canonical form (:func:`normalize`),
+so ``==`` on canonical sets means "the same primes".  "All primes" is
+{0} mod 1 and "no primes" the empty set mod 1.
 
-"All primes" is represented as {0} mod 1 and "no primes" as the empty set
-mod 1, so the algebra has no special cases.
-
-Operations build their results, never their operands' residues lifted to
-the lcm L = lcm(M, N) of two moduli.  With g = gcd(M, N):
+A class a mod N holds a prime iff gcd(a, N) = 1 (Dirichlet) or a is the
+class of a prime dividing N (:func:`class_contains_prime`).  Operations
+never lift their operands' residues to L = lcm(M, N).  With g = gcd(M, N):
 
 * Pairwise (Chinese remainder theorem): the classes a mod M and b mod N
   meet iff a = b (mod g), in exactly one class mod L.  :func:`intersect`
   and :func:`exclude_prime` pair the residues through a table keyed by
   residue mod g, in O(|A| + |B| + |result|), and pass the result mod L to
-  :func:`normalize`.  :func:`prime_subset` counts instead of pairing: a
-  unit class mod M is covered when B holds all phi(N) / phi(g) unit
-  classes mod N over it, and the only other classes that hold a prime are
-  the primes dividing L; O(|A| + |B|) plus factoring M and N.
-* Bitmask: :func:`union` first tests pairwise, in O(|A| + |B|), whether
-  one operand contains the other.  Otherwise it holds each operand as an
-  ``int`` whose bit r is set for each residue r, repeats the M-bit pattern
-  to L bits by shift-or doubling, ORs the two, and reduces the mask to its
-  canonical modulus before it builds any residue (see
-  :func:`_reduce_mask`): O(L / 64) word operations.  Unions whose lcm
-  passes ``MASK_BITS`` bits are refused with :class:`ModulusOverflowError`.
-* Canonical form (:func:`normalize`): a set mod N that is also a set mod a
-  divisor d satisfies it for N / q for some prime factor q of N, so only
-  those moduli are tried, q by q.  A set is periodic mod d iff its
-  projection mod d is N / d times smaller, O(|S|) per modulus tried; a
-  bitmask is iff shifting it right by d bits leaves its low N - d bits.
-  :func:`normalize` projects, because a user's modulus may be 2^61 - 1.
+  :func:`normalize`.
+* Containment (:func:`prime_subset`, the only one): a unit class mod M is
+  covered when B holds all phi(N) / phi(g) unit classes mod N over it, and
+  the only other classes that hold a prime are the primes dividing L;
+  O(|A| + |B|) plus factoring M and N.
+* Bitmask: unless one operand contains the other, :func:`union` holds
+  each as an ``int`` with bit r set for each residue r, repeats the M-bit
+  pattern to L bits by shift-or doubling, ORs the two, and shrinks the
+  mask while it is periodic (:func:`_reduce_mask`) before it builds any
+  residue: O(L / 64) word operations, refused with
+  :class:`ModulusOverflowError` past ``MASK_BITS`` bits.
+* Canonical form (:func:`normalize`): drop the classes that hold no
+  prime, then try the moduli N / q for the prime factors q of N by
+  projecting the residues: O(|S|) per modulus tried, because a user's
+  modulus may be 2^61 - 1.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import InvalidBoundError, InvalidModulusError, ModulusOverflowError
@@ -47,7 +45,6 @@ from .ntheory import (
     MAX_MODULUS,
     checked_lcm,
     ensure_prime,
-    is_prime,
     prime_factors,
     primes_below,
 )
@@ -62,7 +59,7 @@ MAX_RESIDUES = 1 << 21
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """Integers congruent to one of ``residues`` modulo ``modulus``."""
+    """Primes congruent to one of ``residues`` modulo ``modulus``."""
 
     modulus: int
     residues: frozenset[int]
@@ -135,8 +132,9 @@ def _spread(mask: int, modulus: int, target: int) -> int:
 
 
 def _reduce_mask(n: int, mask: int) -> tuple[int, int]:
-    """Canonical (modulus, mask) of the n-bit ``mask``: one prime at a time,
-    shrink to n / q while the mask is periodic with that period."""
+    """The n-bit ``mask`` shrunk, one prime at a time, to n / q while it is
+    periodic with that period; :func:`normalize` finishes the canonical
+    form on the few residues left."""
     for q in prime_factors(n):
         while n % q == 0:
             d = n // q
@@ -149,27 +147,46 @@ def _reduce_mask(n: int, mask: int) -> tuple[int, int]:
 # -- canonical form --------------------------------------------------------------
 
 
-def normalize(s: ResidueSet) -> ResidueSet:
-    """Canonical form: the minimal modulus d | N over which ``s`` is a
-    union of full congruence classes.
+@lru_cache(maxsize=4096)
+def _prime_classes(n: int) -> frozenset[int]:
+    """The classes mod n of the primes dividing n: with the units, the
+    classes that hold a prime (:func:`class_contains_prime`)."""
+    return frozenset(q % n for q in prime_factors(n))
 
-    The moduli over which a set is a union of full classes are the divisors
-    of N that are multiples of one minimal d0 (membership factors through
-    x mod d1 and x mod d2 only if it factors through x mod gcd(d1, d2)).
-    So while d0 < n, some prime q has d0 | n / q; and once the test fails
-    for q, the power of q in n is final, because dividing by other primes
-    does not change it.  A set that is already canonical is returned as is.
+
+def normalize(s: ResidueSet) -> ResidueSet:
+    """Canonical form: the classes of ``s`` that hold a prime, modulo the
+    least d | N over which they hold the same primes.
+
+    The moduli that give a set of primes are the divisors of N that are
+    multiples of one least d0, as for the conductor of a Dirichlet
+    character.  So while d0 < n, some prime q has d0 | n / q; and once the
+    test fails for q, the power of q in n is final.  Over a class mod
+    d = n / q that holds a prime, the classes mod n that hold one are: over
+    a unit, the q units if q | d, else the q - 1 units and, over q mod d,
+    the class of q; over the class of a prime r | d, that class alone.  The
+    set is one mod d iff it holds them all: iff their number is its size.
     """
-    n, residues = s.modulus, s.residues
-    size = len(residues)
+    n = s.modulus
+    of_primes = _prime_classes(n)  # class_contains_prime, inlined
+    residues = frozenset(r for r in s.residues if r in of_primes or math.gcd(r, n) == 1)
+    at_primes = len(residues & of_primes)
     for q in prime_factors(n):
-        while n % q == 0 and size % q == 0:
+        while n % q == 0:
             d = n // q
-            proj = frozenset(r % d for r in residues)
-            if len(proj) * q != size:
+            per_unit = q if d % q == 0 else q - 1
+            # The units mod n lie q or q - 1 over each unit of the projection.
+            if (len(residues) - at_primes) % per_unit:
                 break
-            n, residues, size = d, proj, len(proj)
-    return s if n == s.modulus else ResidueSet(n, residues)
+            proj = frozenset(r % d for r in residues)
+            at_d = len(proj & _prime_classes(d))
+            lifts = per_unit * (len(proj) - at_d) + at_d
+            if lifts + (d % q != 0 and q % d in proj) != len(residues):
+                break
+            n, residues, at_primes = d, proj, at_d
+    if n == s.modulus and len(residues) == len(s.residues):
+        return s
+    return ResidueSet(n, residues)
 
 
 # -- combinations ----------------------------------------------------------------
@@ -199,21 +216,13 @@ def intersect(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     return normalize(ResidueSet(l, _crt_pairs(a, b)))
 
 
-def _within(a: ResidueSet, b: ResidueSet) -> bool:
-    """Whether every integer of ``a`` lies in ``b``: each residue of a
-    mod g = gcd(M, N) has all N / g of its classes mod N in b."""
-    g = math.gcd(a.modulus, b.modulus)
-    per_class = Counter(r % g for r in b.residues)
-    return all(per_class[r % g] == b.modulus // g for r in a.residues)
-
-
 def union(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     """Exact union, canonicalized."""
     l = checked_lcm(a.modulus, b.modulus)
     # While the union of a type's decompositions grows, most sets it
     # receives are absorbed: those need no bitmask of l bits.
     for small, big in ((a, b), (b, a)):
-        if _within(small, big):
+        if prime_subset(small, big):
             return normalize(big)
     if l > MASK_BITS:
         raise ModulusOverflowError(
@@ -221,7 +230,7 @@ def union(a: ResidueSet, b: ResidueSet) -> ResidueSet:
         )
     mask = _spread(_mask(a), a.modulus, l) | _spread(_mask(b), b.modulus, l)
     d, mask = _reduce_mask(l, mask)
-    return ResidueSet(d, _bits(mask))
+    return normalize(ResidueSet(d, _bits(mask)))
 
 
 def contains_prime(s: ResidueSet, p: int) -> bool:
@@ -236,8 +245,8 @@ def from_min_prime(k: int) -> ResidueSet:
     A prime is >= k iff it divides none of the primes below k, i.e. iff it
     is a unit modulo their product.  For example k = 5 gives {1, 5} mod 6.
     The units are built prime by prime (a unit mod n*p is a unit mod n that
-    is not divisible by p) and are already canonical: no unit set modulo a
-    squarefree n is periodic mod n / p.
+    is not divisible by p) and are already canonical: no modulus n / p will
+    do, as its class of p holds both p and larger primes.
     """
     if not isinstance(k, int) or k < 2:
         raise InvalidBoundError(f"bound must be an integer >= 2, got {k!r}")
@@ -261,8 +270,7 @@ def exclude_prime(s: ResidueSet, q: int) -> ResidueSet:
     multiple of q.
     """
     ensure_prime(q)
-    l = checked_lcm(s.modulus, q)
-    return normalize(ResidueSet(l, _crt_pairs(s, ResidueSet(q, frozenset(range(1, q))))))
+    return intersect(s, ResidueSet(q, frozenset(range(1, q))))
 
 
 def class_contains_prime(a: int, n: int) -> bool:
@@ -270,23 +278,11 @@ def class_contains_prime(a: int, n: int) -> bool:
 
     For gcd(a, n) == 1 Dirichlet's theorem gives infinitely many; otherwise
     every member is divisible by g = gcd(a, n) > 1, so the only possible
-    prime is g itself.
+    prime is g itself, a prime dividing n.
     """
     if not 0 <= a < n:
         raise InvalidModulusError(f"residue {a} out of range for modulus {n}")
-    g = math.gcd(a, n)
-    if g == 1:
-        return True
-    return is_prime(g) and g % n == a
-
-
-def covers_all_primes(s: ResidueSet) -> bool:
-    """Whether every prime belongs to ``s``.
-
-    Representation-independent: a class of the modulus matters only if it
-    contains a prime at all.
-    """
-    return prime_subset(ALL_PRIMES, s)
+    return math.gcd(a, n) == 1 or a in _prime_classes(n)
 
 
 def _totient(n: int) -> int:
@@ -306,10 +302,12 @@ def prime_subset(a: ResidueSet, b: ResidueSet) -> bool:
     the units of a lie in b iff, for each unit of a, b holds all of those.
     """
     m, n = a.modulus, b.modulus
-    for q in set(prime_factors(m)) | set(prime_factors(n)):
+    for q in prime_factors(m) + prime_factors(n):
         if q % m in a.residues and q % n not in b.residues:
             return False
     g = math.gcd(m, n)
+    if g == n:  # each unit mod m lies over one unit mod n
+        return all(r % n in b.residues for r in a.residues if math.gcd(r, m) == 1)
     per_class = _totient(n) // _totient(g)
     covered = Counter(c % g for c in b.residues if math.gcd(c, n) == 1)
     return all(

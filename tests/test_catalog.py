@@ -113,8 +113,9 @@ def test_family_degree_formulas(cat):
 
 
 def test_family_prime_conditions(cat):
+    # p = 1 mod 6, and 4 mod 6 holds no prime
     assert as_json_dict(cat.prime_set_of(cat.lookup("C_6"))) == {
-        "modulus": 6,
+        "modulus": 3,
         "residues": [1],
     }
     assert as_json_dict(cat.prime_set_of(cat.lookup("D_10"))) == {

@@ -105,6 +105,19 @@ def test_check_json_schema(capsys):
     }
 
 
+def test_a_listable_ring_of_no_primes_is_described_and_decided_like_q(capsys):
+    # 0 mod 6 and 4 mod 6 hold no prime
+    _, out, _ = run_cli(capsys, "check", "--degrees", "4,6", "--ring", "primes=mod:6:0,4")
+    assert "ring primes: no primes\nverdict: realizable\n" in out
+    assert "witness" not in out
+    docs = [
+        json.loads(run_cli(capsys, "check", "--degrees", "4,6", "--ring", ring, "--format", "json")[1])
+        for ring in ("primes=mod:6:0,4", "Q")
+    ]
+    assert docs[0] == docs[1]
+    assert docs[0]["verdict"] is True and docs[0]["witnesses"] == {}
+
+
 def test_json_output_is_byte_stable(capsys):
     args = ("check", "--degrees", "12,16", "--ring", "F_3", "--format", "json")
     _, first, _ = run_cli(capsys, *args)

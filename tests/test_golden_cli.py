@@ -6,6 +6,11 @@ It pins the rendering of entry names, verdicts, witnesses, failing primes
 and classes, so refactors of the catalog and of the prime scans must keep
 every byte.  To rewrite it after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden_cli.py > tests/golden_cli.json``.
+
+A rewrite may move how prime sets are printed, never what is decided: the
+fixture ``golden_verdicts.json`` holds, for each entry, the exit code and
+the verdict, witnesses and failing prime that the entry's stdout reports,
+as they stood before prime sets were canonicalized by their primes.
 """
 
 import contextlib
@@ -17,6 +22,7 @@ from polycoh.cli import main
 from polycoh.verify import even_degree_multisets
 
 FIXTURE = Path(__file__).with_name("golden_cli.json")
+VERDICTS = Path(__file__).with_name("golden_verdicts.json")
 
 # One ring per syntax of parse_ring.
 RINGS = ("Z", "Q", "F_3", "Z[1/6]", "primes=2,5,7", "primes=mod:12:1,5,7,11")
@@ -69,12 +75,36 @@ def run(argv):
     return {"argv": argv, "code": code, "stdout": out.getvalue()}
 
 
+# What an entry decides: JSON keys of check and witness, text lines of check.
+VERDICT_KEYS = ("verdict", "witnesses", "failingPrime", "realizable", "witness")
+VERDICT_LINES = ("verdict:", "witness at", "failing prime:")
+
+
+def verdicts(case):
+    """The exit code, verdict, witnesses and failing prime of one entry."""
+    try:
+        doc = json.loads(case["stdout"])
+    except ValueError:
+        lines = case["stdout"].splitlines()
+        said = [line for line in lines if line.startswith(VERDICT_LINES)]
+    else:
+        said = {key: doc[key] for key in VERDICT_KEYS if key in doc}
+    return {"argv": case["argv"], "code": case["code"], "said": said}
+
+
 def test_cli_outputs_match_the_golden_fixture():
     want = json.loads(FIXTURE.read_text())
     got = [run(argv) for argv in golden_cases()]
     assert [case["argv"] for case in got] == [case["argv"] for case in want]
     mismatched = [g["argv"] for g, w in zip(got, want) if g != w]
     assert mismatched == []
+
+
+def test_golden_fixture_keeps_every_verdict_witness_and_failing_prime():
+    want = json.loads(VERDICTS.read_text())
+    got = [verdicts(case) for case in json.loads(FIXTURE.read_text())]
+    assert len(got) == len(want)
+    assert [g["argv"] for g, w in zip(got, want) if g != w] == []
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import random
 
 from polycoh.ntheory import is_prime, primes_below
 from polycoh.realizability import WITNESS_PRIME_BOUND, _first_prime, _uncovered_prime
-from polycoh.residues import ALL_PRIMES, covers_all_primes, make, normalize
+from polycoh.residues import ALL_PRIMES, make, normalize, prime_subset
 
 SMALL_PRIMES = primes_below(100)
 
@@ -139,7 +139,7 @@ def test_uncovered_prime_matches_the_classwise_scans():
         assert _uncovered_prime(ps, excluded) == old_cofinite_failing_prime(
             ps, excluded
         ), (ps, excluded)
-        want = None if covers_all_primes(ps) else old_smallest_uncovered_prime(ps)
+        want = None if prime_subset(ALL_PRIMES, ps) else old_smallest_uncovered_prime(ps)
         assert _uncovered_prime(ps, set()) == want, ps
 
 

@@ -16,7 +16,6 @@ from polycoh.residues import (
     as_json_dict,
     class_contains_prime,
     contains_prime,
-    covers_all_primes,
     exclude_prime,
     from_min_prime,
     intersect,
@@ -31,6 +30,12 @@ PRIMES_10K = primes_below(10001)
 
 def rs(modulus, residues=()):
     return make(modulus, residues)
+
+
+def prime_classes(n):
+    """The classes mod ``n`` that hold a prime: every prime of a set whose
+    modulus divides n lies in one of them, and each holds one."""
+    return [x for x in range(n) if class_contains_prime(x, n)]
 
 
 # ---------------------------------------------------------------- construction
@@ -69,7 +74,21 @@ def test_normalize_full_odd_fibers():
 
 
 def test_normalize_already_minimal():
-    assert normalize(rs(6, [1])) == rs(6, [1])
+    # the primes >= 5; mod 3 or mod 2 the class of 2 or of 3 would come in
+    assert normalize(rs(6, [1, 5])) == rs(6, [1, 5])
+    assert normalize(rs(24, [1, 19])) == rs(24, [1, 19])
+
+
+def test_normalize_drops_classes_with_no_prime():
+    # 4 mod 6 holds no prime, so 1 mod 6 holds the primes 1 mod 3
+    assert normalize(rs(6, [1])) == rs(3, [1])
+    assert normalize(rs(6, [0, 4])) == NO_PRIMES
+    # the odd classes mod 14, 7 included, are the odd primes
+    assert normalize(rs(14, [1, 3, 5, 7, 9, 11, 13])) == rs(2, [1])
+    assert normalize(rs(14, [0, 1, 3, 5, 7, 9, 11, 13])) == rs(2, [1])
+    # the class of the prime 3 is kept, 9 mod 12 is not
+    assert normalize(rs(12, [1, 3, 9])) == rs(12, [1, 3])
+    assert normalize(rs(6, [1, 3])) == rs(3, [0, 1])
 
 
 def test_normalize_two_fibers_of_mod_three():
@@ -90,7 +109,8 @@ def test_normalize_preserves_membership_and_is_idempotent():
         c = normalize(s)
         assert normalize(c) == c
         assert c.modulus <= s.modulus and s.modulus % c.modulus == 0
-        for x in range(n):
+        assert all(class_contains_prime(r, c.modulus) for r in c.residues)
+        for x in prime_classes(n):
             assert (x in s) == (x in c)
 
 
@@ -125,8 +145,7 @@ def test_set_ops_membership_oracle():
         b = rs(nb, rng.sample(range(nb), rng.randint(0, nb)))
         both = intersect(a, b)
         either = union(a, b)
-        l = checked_lcm(na, nb)
-        for x in range(l):
+        for x in prime_classes(checked_lcm(na, nb)):
             assert (x in both) == ((x in a) and (x in b))
             assert (x in either) == ((x in a) or (x in b))
 
@@ -234,11 +253,11 @@ def test_class_contains_prime_matches_scan():
 
 
 def test_covers_all_primes_examples():
-    assert covers_all_primes(rs(6, range(6)))
-    assert not covers_all_primes(rs(6, [1, 5]))
-    assert covers_all_primes(rs(6, [1, 5, 2, 3]))
-    assert covers_all_primes(ALL_PRIMES)
-    assert not covers_all_primes(NO_PRIMES)
+    assert prime_subset(ALL_PRIMES, rs(6, range(6)))
+    assert not prime_subset(ALL_PRIMES, rs(6, [1, 5]))
+    assert prime_subset(ALL_PRIMES, rs(6, [1, 5, 2, 3]))
+    assert prime_subset(ALL_PRIMES, ALL_PRIMES)
+    assert not prime_subset(ALL_PRIMES, NO_PRIMES)
 
 
 def test_prime_subset_examples():
@@ -257,7 +276,7 @@ def test_covers_and_subset_agree_with_enumeration():
         na, nb = rng.randint(1, 240), rng.randint(1, 240)
         a = rs(na, rng.sample(range(na), rng.randint(0, na)))
         b = rs(nb, rng.sample(range(nb), rng.randint(0, nb)))
-        assert covers_all_primes(a) == all(p in a for p in PRIMES_10K)
+        assert prime_subset(ALL_PRIMES, a) == all(p in a for p in PRIMES_10K)
         assert prime_subset(a, b) == all(p in b for p in PRIMES_10K if p in a)
 
 
