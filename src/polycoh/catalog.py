@@ -5,7 +5,8 @@ classes of primes at which a space with that polynomial cohomology type
 exists: the simply connected simple compact Lie groups (plus the circle),
 the infinite families of monomial complex reflection groups G(m, r, n)
 together with the dihedral and cyclic degree patterns, and seventeen
-sporadic complex reflection groups in the Shephard-Todd numbering.
+sporadic complex reflection groups in the Shephard-Todd numbering.  Each
+family and each sporadic group is one row of the same table.
 
 A catalog answers three questions: what are the degrees of an entry, at
 which primes does it occur, and which entry instances fit inside a given
@@ -113,7 +114,8 @@ class FamilyTemplate:
     target, and possibly some that do not fit (:meth:`Catalog.candidates`
     drops those).
     The three text fields document the row and travel with the JSON form;
-    a parameterless row's degree formula is its list of degrees.
+    a parameterless row's degree formula is its list of degrees.  The
+    sporadic groups are parameterless rows built by :func:`_sporadic`.
     """
 
     ident: str
@@ -142,15 +144,6 @@ class FamilyTemplate:
 
     def display(self, params: tuple[int, ...]) -> str:
         return self.pattern.format(*(p * s for p, s in zip(params, self.scale)))
-
-
-@dataclass(frozen=True)
-class SporadicEntry:
-    """A single fixed catalog row: name, degrees, prime occurrence set."""
-
-    name: str
-    degrees: tuple[int, ...]
-    primes: ResidueSet
 
 
 _P_GE_3, _P_GE_5, _P_GE_7 = (from_min_prime(k) for k in (3, 5, 7))
@@ -261,36 +254,39 @@ _FAMILIES = (
 )
 _FAMILY_BY_IDENT = {f.ident: f for f in _FAMILIES}
 
-# name, degrees, (modulus, residues), optionally an excluded prime
+# name, degrees, prime set
 _SPORADIC_ROWS = (
-    ("G_8", (16, 24), (4, (1,)), None),
-    ("G_9", (16, 48), (8, (1,)), None),
-    ("G_12", (12, 16), (8, (1, 3)), None),
-    ("G_14", (12, 48), (24, (1, 19)), None),
-    ("G_16", (40, 60), (5, (1,)), None),
-    ("G_17", (40, 120), (20, (1,)), None),
-    ("G_20", (24, 60), (15, (1, 4)), None),
-    ("G_21", (24, 120), (60, (1, 49)), None),
-    ("G_22", (24, 40), (20, (1, 9)), None),
-    ("G_23", (4, 12, 20), (5, (1, 4)), None),
-    ("G_24", (8, 12, 28), (7, (1, 2, 4)), 2),
-    ("G_29", (8, 16, 24, 40), (4, (1,)), None),
-    ("G_30", (4, 24, 40, 60), (5, (1, 4)), None),
-    ("G_31", (16, 24, 40, 48), (4, (1,)), None),
-    ("G_32", (24, 36, 48, 60), (3, (1,)), None),
-    ("G_33", (8, 12, 20, 24, 36), (3, (1,)), None),
-    ("G_34", (12, 24, 36, 48, 60, 84), (3, (1,)), None),
+    ("G_8", (16, 24), _classes(4, (1,))),
+    ("G_9", (16, 48), _classes(8, (1,))),
+    ("G_12", (12, 16), _classes(8, (1, 3))),
+    ("G_14", (12, 48), _classes(24, (1, 19))),
+    ("G_16", (40, 60), _classes(5, (1,))),
+    ("G_17", (40, 120), _classes(20, (1,))),
+    ("G_20", (24, 60), _classes(15, (1, 4))),
+    ("G_21", (24, 120), _classes(60, (1, 49))),
+    ("G_22", (24, 40), _classes(20, (1, 9))),
+    ("G_23", (4, 12, 20), _classes(5, (1, 4))),
+    ("G_24", (8, 12, 28), exclude_prime(_classes(7, (1, 2, 4)), 2)),
+    ("G_29", (8, 16, 24, 40), _classes(4, (1,))),
+    ("G_30", (4, 24, 40, 60), _classes(5, (1, 4))),
+    ("G_31", (16, 24, 40, 48), _classes(4, (1,))),
+    ("G_32", (24, 36, 48, 60), _classes(3, (1,))),
+    ("G_33", (8, 12, 20, 24, 36), _classes(3, (1,))),
+    ("G_34", (12, 24, 36, 48, 60, 84), _classes(3, (1,))),
 )
 
 
-def _build_sporadics() -> tuple[SporadicEntry, ...]:
-    out = []
-    for name, degrees, (mod, res), excluded in _SPORADIC_ROWS:
-        primes = normalize(make(mod, res))
-        if excluded is not None:
-            primes = exclude_prime(primes, excluded)
-        out.append(SporadicEntry(name, degrees, primes))
-    return tuple(out)
+def _sporadic(name: str, degrees: Iterable[int], primes: ResidueSet) -> FamilyTemplate:
+    """The parameterless row of one sporadic group: its degrees, and its
+    prime set, whose canonical form is the row's prime condition."""
+    degrees = tuple(sorted(degrees))
+    shown = as_json_dict(primes)
+    condition = f"p in {shown['residues']} mod {shown['modulus']}"
+    return FamilyTemplate(name, name, lambda: degrees, lambda: primes, condition)
+
+
+_SPORADICS = tuple(_sporadic(*row) for row in _SPORADIC_ROWS)
+_ROWS = _FAMILIES + _SPORADICS
 
 
 def _fits(part: Counter, whole: Counter) -> bool:
@@ -299,43 +295,40 @@ def _fits(part: Counter, whole: Counter) -> bool:
 
 @dataclass(frozen=True)
 class Catalog:
-    """An immutable queryable collection of families and sporadic entries."""
+    """An immutable queryable collection of rows, in two sections: the
+    families and the sporadic groups.  Two catalogs are equal when they
+    export the same document."""
 
     families: tuple[FamilyTemplate, ...]
-    sporadics: tuple[SporadicEntry, ...]
+    sporadics: tuple[FamilyTemplate, ...]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Catalog):
             return NotImplemented
-        return (
-            tuple(f.ident for f in self.families)
-            == tuple(f.ident for f in other.families)
-            and self.sporadics == other.sporadics
-        )
+        return self._document == other._document
 
     def __hash__(self) -> int:
-        return hash((tuple(f.ident for f in self.families), self.sporadics))
+        return hash(self._document)
 
     @cached_property
-    def _rows(self) -> dict[str, FamilyTemplate | SporadicEntry]:
-        families = {f.ident: f for f in self.families}
-        return families | {sp.name: sp for sp in self.sporadics}
+    def _document(self) -> str:
+        return export_json(self)
 
-    def _row(self, name: str) -> FamilyTemplate | SporadicEntry:
-        """The family or sporadic row called ``name``."""
+    @cached_property
+    def _rows(self) -> dict[str, FamilyTemplate]:
+        return {row.ident: row for row in self.families + self.sporadics}
+
+    def _row(self, name: str) -> FamilyTemplate:
+        """The row called ``name``."""
         row = self._rows.get(name)
         if row is None:
             raise InvalidParametersError(f"{name!r} is not in this catalog")
         return row
 
     def instance(self, family: str, params: Iterable[int] = ()) -> EntryInstance:
-        """Validated entry instance for a family identifier and parameters."""
+        """Validated entry instance for a row identifier and parameters."""
         params = tuple(params)
         row = self._row(family)
-        if isinstance(row, SporadicEntry):
-            if params:
-                raise InvalidParametersError(f"{family} takes no parameters")
-            return EntryInstance(family, (), family)
         if len(params) != len(row.scale) or not row.check(*params):
             raise InvalidParametersError(
                 f"parameters {params} violate the constraints of {family}"
@@ -348,16 +341,10 @@ class Catalog:
         return self.instance(*parse_entry_name(name))
 
     def degrees_of(self, inst: EntryInstance) -> DegreeMultiset:
-        row = self._row(inst.family)
-        if isinstance(row, SporadicEntry):
-            return DegreeMultiset.of(row.degrees)
-        return DegreeMultiset.of(row.degrees(*inst.params))
+        return DegreeMultiset.of(self._row(inst.family).degrees(*inst.params))
 
     def prime_set_of(self, inst: EntryInstance) -> ResidueSet:
-        row = self._row(inst.family)
-        if isinstance(row, SporadicEntry):
-            return row.primes
-        return row.primes(*inst.params)
+        return self._row(inst.family).primes(*inst.params)
 
     def candidates(self, target) -> list[EntryInstance]:
         """Every instance whose degrees form a sub-multiset of ``target``.
@@ -369,13 +356,10 @@ class Catalog:
         """
         need = DegreeMultiset.of(target).counter()
         out = []
-        for fam in self.families:
-            for params in fam.sweep(need):
-                if _fits(Counter(fam.degrees(*params)), need):
-                    out.append(EntryInstance(fam.ident, params, fam.display(params)))
-        for sp in self.sporadics:
-            if _fits(Counter(sp.degrees), need):
-                out.append(EntryInstance(sp.name, (), sp.name))
+        for row in self.families + self.sporadics:
+            for params in row.sweep(need):
+                if _fits(Counter(row.degrees(*params)), need):
+                    out.append(EntryInstance(row.ident, params, row.display(params)))
         out.sort(key=lambda inst: inst.sort_key)
         return out
 
@@ -386,30 +370,28 @@ class Catalog:
 def parse_entry_name(name: str) -> tuple[str, tuple[int, ...]]:
     """Split a display name into (family identifier, parameters).
 
-    The families' display patterns are matched in turn, then the alias S1
-    of S^1 and the sporadic names G_<n>.
+    S1 is an alias of S^1; otherwise the display patterns of the built-in
+    rows are matched in turn.
     """
     text = name.strip()
     if text == "S1":
         return ("S^1", ())
-    for fam in _FAMILIES:
-        match = fam.name_re.fullmatch(text)
+    for row in _ROWS:
+        match = row.name_re.fullmatch(text)
         if match:
             shown = [int(g) for g in match.groups()]
-            if any(v % s for v, s in zip(shown, fam.scale)):
+            if any(v % s for v, s in zip(shown, row.scale)):
                 raise InvalidParametersError(
-                    f"{name!r}: {fam.pattern} shows each parameter times {fam.scale}"
+                    f"{name!r}: {row.pattern} shows each parameter times {row.scale}"
                 )
-            return (fam.ident, tuple(v // s for v, s in zip(shown, fam.scale)))
-    if re.fullmatch(r"G_\d+", text):
-        return (text, ())
+            return (row.ident, tuple(v // s for v, s in zip(shown, row.scale)))
     raise InvalidParametersError(f"unrecognized catalog entry name {name!r}")
 
 
 @lru_cache(maxsize=1)
 def builtin() -> Catalog:
     """The full built-in catalog."""
-    return Catalog(families=_FAMILIES, sporadics=_build_sporadics())
+    return Catalog(families=_FAMILIES, sporadics=_SPORADICS)
 
 
 def degrees_of(inst: EntryInstance, cat: Catalog | None = None) -> DegreeMultiset:
@@ -429,9 +411,9 @@ def export_json(cat: Catalog) -> str:
     doc = {
         "sporadics": [
             {
-                "name": sp.name,
-                "degrees": list(sp.degrees),
-                "primes": as_json_dict(sp.primes),
+                "name": sp.ident,
+                "degrees": list(sp.degrees()),
+                "primes": as_json_dict(sp.primes()),
             }
             for sp in cat.sporadics
         ],
@@ -486,6 +468,8 @@ def import_json(text: str) -> Catalog:
         name = row.get("name")
         if not isinstance(name, str) or not name:
             raise CatalogError(f"sporadic entry with missing name: {row!r}")
+        if "{" in name or "}" in name:
+            raise CatalogError(f"sporadic {name!r}: a name may not contain braces")
         degrees = row.get("degrees")
         if not isinstance(degrees, list) or not degrees:
             raise CatalogError(f"sporadic {name!r}: missing degree list")
@@ -505,8 +489,6 @@ def import_json(text: str) -> Catalog:
         res = primes["residues"]
         if mod < 1 or any(not isinstance(r, int) or not 0 <= r < mod for r in res):
             raise CatalogError(f"sporadic {name!r}: malformed prime set")
-        sporadics.append(
-            SporadicEntry(name, tuple(sorted(degrees)), normalize(make(mod, res)))
-        )
+        sporadics.append(_sporadic(name, degrees, normalize(make(mod, res))))
 
     return Catalog(families=tuple(families), sporadics=tuple(sporadics))

@@ -19,11 +19,12 @@ import os
 import re
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__
 from .catalog import Catalog, DegreeMultiset, builtin, export_json
 from .decompose import decompose, decompose_at_prime
-from .errors import PolycohError, RingSpecError
+from .errors import InvalidTypeError, PolycohError, RingSpecError
 from .molien import DEFAULT_BUDGET, doubled_degrees, group_order, verify_degrees
 from .ntheory import divisors, is_prime, prime_factors
 from .realizability import (
@@ -103,7 +104,14 @@ def parse_degrees(text: str, cat: Catalog) -> DegreeMultiset:
     for token in stripped.split("+"):
         token = token.strip()
         if re.fullmatch(r"[\d\s,]+", token):
-            nums = [int(x) for x in token.split(",") if x.strip()]
+            nums = []
+            for piece in filter(None, map(str.strip, token.split(","))):
+                try:
+                    nums.append(int(piece))
+                except ValueError:
+                    raise InvalidTypeError(
+                        f"cannot read {piece!r} as a degree: separate degrees by commas"
+                    ) from None
             out = out.union(DegreeMultiset.of(nums))
         else:
             inst = cat.lookup(token)
@@ -199,20 +207,14 @@ def _cmd_catalog(args, cat: Catalog) -> int:
     if args.format == "json":
         print(export_json(cat))
         return 0
-    print("families:")
-    for fam in cat.families:
-        cond = f"; conditions {fam.constraints}" if fam.constraints else ""
-        print(
-            f"  {fam.ident}: degrees {fam.degree_formula}{cond};"
-            f" occurs for {fam.prime_condition}"
-        )
-    print("sporadics:")
-    for sp in cat.sporadics:
-        ps = as_json_dict(sp.primes)
-        print(
-            f"  {sp.name}: degrees {', '.join(map(str, sp.degrees))};"
-            f" occurs for p in {ps['residues']} mod {ps['modulus']}"
-        )
+    for section in ("families", "sporadics"):
+        print(f"{section}:")
+        for row in getattr(cat, section):
+            cond = f"; conditions {row.constraints}" if row.constraints else ""
+            print(
+                f"  {row.ident}: degrees {row.degree_formula}{cond};"
+                f" occurs for {row.prime_condition}"
+            )
     return 0
 
 
@@ -251,18 +253,24 @@ def _molien_sweep() -> list[tuple[int, int, int]]:
 
 
 def _cmd_molien_verify(args, cat: Catalog) -> int:
+    # The CSV file is opened first, so a path that cannot be written fails
+    # before the sweep runs.
+    try:
+        out = open(args.csv, "w", newline="") if args.csv else nullcontext()
+    except OSError as exc:
+        raise PolycohError(f"cannot write {args.csv!r}: {exc.strerror}") from None
     rows = []
     failures = 0
-    for m, r, n in _molien_sweep():
-        start = time.perf_counter()
-        ok = verify_degrees(m, r, n, budget=args.budget)
-        elapsed = time.perf_counter() - start
-        degrees = doubled_degrees(m, r, n)
-        rows.append((m, r, n, degrees, ok, elapsed))
-        if not ok:
-            failures += 1
-    if args.csv:
-        with open(args.csv, "w", newline="") as handle:
+    with out as handle:
+        for m, r, n in _molien_sweep():
+            start = time.perf_counter()
+            ok = verify_degrees(m, r, n, budget=args.budget)
+            elapsed = time.perf_counter() - start
+            degrees = doubled_degrees(m, r, n)
+            rows.append((m, r, n, degrees, ok, elapsed))
+            if not ok:
+                failures += 1
+        if handle is not None:
             writer = csv.writer(handle)
             writer.writerow(["m", "r", "n", "degrees", "verdict", "seconds"])
             for m, r, n, degrees, ok, elapsed in rows:

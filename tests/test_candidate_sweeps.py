@@ -48,8 +48,8 @@ def old_candidates(cat, target):
             if _fits(Counter(fam.degrees(*params)), need):
                 out.append(EntryInstance(fam.ident, params, fam.display(params)))
     for sp in cat.sporadics:
-        if _fits(Counter(sp.degrees), need):
-            out.append(EntryInstance(sp.name, (), sp.name))
+        if _fits(Counter(sp.degrees()), need):
+            out.append(EntryInstance(sp.ident, (), sp.ident))
     out.sort(key=lambda inst: inst.sort_key)
     return out
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -166,7 +167,7 @@ def test_entry_names_round_trip(cat):
                 assert cat.lookup(inst.name) == inst, inst
     assert {inst.family for inst in seen} >= {f.ident for f in cat.families}
     for sp in cat.sporadics:
-        assert cat.lookup(sp.name) == cat.instance(sp.name)
+        assert cat.lookup(sp.ident) == cat.instance(sp.ident)
     # spaced and alias forms
     assert cat.lookup(" SU(4) ") == cat.instance("SU", (4,))
     assert cat.lookup("G(6, 3, 2)") == cat.instance("G(m,r,n)", (6, 3, 2))
@@ -315,6 +316,9 @@ def test_export_import_round_trip(cat):
     again = import_json(text)
     assert again == cat
     assert export_json(again) == text
+    doc = json.loads(text)
+    doc["families"] = []
+    assert import_json(json.dumps(doc)) != cat
 
 
 def test_import_sporadic_only_catalog(cat):
@@ -354,6 +358,14 @@ def test_import_rejects_malformed_json():
         import_json('{"sporadics": [{"name": "G_99", "degrees": [4], "primes": {}}]}')
 
 
+def test_import_rejects_names_with_braces(cat):
+    doc = json.loads(export_json(cat))
+    for name in ("X{}", "G_{8", "G}"):
+        doc["sporadics"][0]["name"] = name
+        with pytest.raises(CatalogError, match=re.escape(repr(name))):
+            import_json(json.dumps(doc))
+
+
 def test_import_normalizes_prime_sets(cat):
     doc = {
         "families": [],
@@ -366,4 +378,4 @@ def test_import_normalizes_prime_sets(cat):
         ],
     }
     small = import_json(json.dumps(doc))
-    assert small.sporadics[0].primes == normalize(make(2, [1]))
+    assert small.sporadics[0].primes() == normalize(make(2, [1]))

@@ -211,6 +211,27 @@ def test_molien_verify_csv(tmp_path, capsys):
     assert len(lines) > 100
 
 
+def test_molien_verify_csv_into_a_missing_directory_fails_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran before the CSV file was opened")
+
+    monkeypatch.setattr("polycoh.cli.verify_degrees", never)
+    csv_path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "molien-verify", "--csv", str(csv_path))
+    assert code != 0 and out == ""
+    assert err.startswith("error:") and "x.csv" in err
+    assert not csv_path.parent.exists()
+
+
+def test_space_separated_degrees_are_refused_with_an_error_line(capsys):
+    code, out, err = run_cli(capsys, "primes", "--degrees", "4 6")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "'4 6'" in err
+    assert "Traceback" not in err
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "check", "--degrees", "7", "--ring", "Z")
     assert code == 1 and "error:" in err

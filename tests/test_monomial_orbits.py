@@ -122,7 +122,7 @@ def test_catalog_prime_sets_are_unit_subgroups(cat):
     # (Z/N)^x, once the classes of the primes dividing N are dropped: the
     # shape of the primes that split completely in an abelian field.
     instances = cat.candidates(UP_TO_120)
-    assert {sp.name for sp in cat.sporadics} <= {inst.name for inst in instances}
+    assert {sp.ident for sp in cat.sporadics} <= {inst.name for inst in instances}
     for s in {normalize(cat.prime_set_of(inst)) for inst in instances}:
         n = s.modulus
         units = s.residues - {q % n for q in prime_factors(n)}
