@@ -27,6 +27,7 @@ from itertools import count, product, takewhile
 from typing import Callable, Iterable, Iterator
 
 from .errors import CatalogError, InvalidParametersError, InvalidTypeError
+from .ntheory import int_of_digits
 from .residues import (
     ALL_PRIMES,
     ResidueSet,
@@ -111,7 +112,7 @@ class FamilyTemplate:
     ``primes`` and ``check`` take the parameters as arguments; ``sweep``
     takes the target's degree counts and, starting from its distinct
     degrees, yields every parameter tuple whose degrees all occur in the
-    target, and possibly some that do not fit (:meth:`Catalog.candidates`
+    target, and possibly some that do not fit (:meth:`Catalog.candidate_table`
     drops those).
     The three text fields document the row and travel with the JSON form;
     a parameterless row's degree formula is its list of degrees.  The
@@ -289,10 +290,6 @@ _SPORADICS = tuple(_sporadic(*row) for row in _SPORADIC_ROWS)
 _ROWS = _FAMILIES + _SPORADICS
 
 
-def _fits(part: Counter, whole: Counter) -> bool:
-    return all(whole[d] >= c for d, c in part.items())
-
-
 @dataclass(frozen=True)
 class Catalog:
     """An immutable queryable collection of rows, in two sections: the
@@ -346,22 +343,29 @@ class Catalog:
     def prime_set_of(self, inst: EntryInstance) -> ResidueSet:
         return self._row(inst.family).primes(*inst.params)
 
-    def candidates(self, target) -> list[EntryInstance]:
-        """Every instance whose degrees form a sub-multiset of ``target``.
+    def candidate_table(self, target) -> list[tuple[EntryInstance, Counter]]:
+        """Every instance whose degrees form a sub-multiset of ``target``, as
+        (instance, degree Counter) rows in instance order.
 
         Finite and complete: every degree of a fitting instance occurs in the
         target, so the sweeps, which start from the target's distinct degrees,
-        yield a superset of the fitting instances, and the fit test keeps
-        exactly those.
+        yield a superset of the fitting instances, and the fit test, which
+        builds each row's Counter, keeps exactly those.
         """
         need = DegreeMultiset.of(target).counter()
         out = []
         for row in self.families + self.sporadics:
             for params in row.sweep(need):
-                if _fits(Counter(row.degrees(*params)), need):
-                    out.append(EntryInstance(row.ident, params, row.display(params)))
-        out.sort(key=lambda inst: inst.sort_key)
+                degrees = Counter(row.degrees(*params))
+                if all(need[d] >= c for d, c in degrees.items()):
+                    inst = EntryInstance(row.ident, params, row.display(params))
+                    out.append((inst, degrees))
+        out.sort(key=lambda c: c[0].sort_key)
         return out
+
+    def candidates(self, target) -> list[EntryInstance]:
+        """The instances of :meth:`candidate_table`."""
+        return [inst for inst, _ in self.candidate_table(target)]
 
     def occurs_at(self, inst: EntryInstance, p: int) -> bool:
         return contains_prime(self.prime_set_of(inst), p)
@@ -379,7 +383,7 @@ def parse_entry_name(name: str) -> tuple[str, tuple[int, ...]]:
     for row in _ROWS:
         match = row.name_re.fullmatch(text)
         if match:
-            shown = [int(g) for g in match.groups()]
+            shown = [int_of_digits(g, InvalidParametersError) for g in match.groups()]
             if any(v % s for v, s in zip(shown, row.scale)):
                 raise InvalidParametersError(
                     f"{name!r}: {row.pattern} shows each parameter times {row.scale}"
@@ -470,6 +474,8 @@ def import_json(text: str) -> Catalog:
             raise CatalogError(f"sporadic entry with missing name: {row!r}")
         if "{" in name or "}" in name:
             raise CatalogError(f"sporadic {name!r}: a name may not contain braces")
+        if name in _FAMILY_BY_IDENT or any(sp.ident == name for sp in sporadics):
+            raise CatalogError(f"sporadic {name!r}: name taken by a family or another row")
         degrees = row.get("degrees")
         if not isinstance(degrees, list) or not degrees:
             raise CatalogError(f"sporadic {name!r}: missing degree list")

@@ -26,7 +26,7 @@ from .catalog import Catalog, DegreeMultiset, builtin, export_json
 from .decompose import decompose, decompose_at_prime
 from .errors import InvalidTypeError, PolycohError, RingSpecError
 from .molien import DEFAULT_BUDGET, doubled_degrees, group_order, verify_degrees
-from .ntheory import divisors, is_prime, prime_factors
+from .ntheory import divisors, int_of_digits, is_prime, prime_factors
 from .realizability import (
     PrimeSpec,
     congruence_classes,
@@ -52,7 +52,7 @@ def parse_ring(text: str) -> PrimeSpec:
         return PrimeSpec.finite(())
     m = re.fullmatch(r"F_(\d+)", t)
     if m:
-        p = int(m.group(1))
+        p = int_of_digits(m.group(1), RingSpecError)
         if not is_prime(p):
             raise RingSpecError(f"F_{p}: {p} is not prime")
         return PrimeSpec.finite((p,))
@@ -64,7 +64,7 @@ def parse_ring(text: str) -> PrimeSpec:
             mm = re.fullmatch(r"1/(\d+)", piece)
             if not mm:
                 raise RingSpecError(f"cannot parse inverted element {piece!r}")
-            k = int(mm.group(1))
+            k = int_of_digits(mm.group(1), RingSpecError)
             if k == 0:
                 raise RingSpecError("cannot invert 0")
             excluded.update(prime_factors(k))
@@ -106,12 +106,11 @@ def parse_degrees(text: str, cat: Catalog) -> DegreeMultiset:
         if re.fullmatch(r"[\d\s,]+", token):
             nums = []
             for piece in filter(None, map(str.strip, token.split(","))):
-                try:
-                    nums.append(int(piece))
-                except ValueError:
+                if not piece.isdecimal():
                     raise InvalidTypeError(
                         f"cannot read {piece!r} as a degree: separate degrees by commas"
-                    ) from None
+                    )
+                nums.append(int_of_digits(piece, InvalidTypeError))
             out = out.union(DegreeMultiset.of(nums))
         else:
             inst = cat.lookup(token)
@@ -260,7 +259,6 @@ def _cmd_molien_verify(args, cat: Catalog) -> int:
     except OSError as exc:
         raise PolycohError(f"cannot write {args.csv!r}: {exc.strerror}") from None
     rows = []
-    failures = 0
     with out as handle:
         for m, r, n in _molien_sweep():
             start = time.perf_counter()
@@ -268,8 +266,6 @@ def _cmd_molien_verify(args, cat: Catalog) -> int:
             elapsed = time.perf_counter() - start
             degrees = doubled_degrees(m, r, n)
             rows.append((m, r, n, degrees, ok, elapsed))
-            if not ok:
-                failures += 1
         if handle is not None:
             writer = csv.writer(handle)
             writer.writerow(["m", "r", "n", "degrees", "verdict", "seconds"])
@@ -277,6 +273,7 @@ def _cmd_molien_verify(args, cat: Catalog) -> int:
                 writer.writerow(
                     [m, r, n, " ".join(map(str, degrees)), ok, f"{elapsed:.4f}"]
                 )
+    failures = sum(not row[4] for row in rows)
     if args.format == "json":
         _emit_json(
             {

@@ -46,12 +46,6 @@ class Decomposition:
         return "Decomposition(" + " + ".join(self.names) + ")" if self.parts else "Decomposition(empty)"
 
 
-def candidate_table(cat: Catalog, target: DegreeMultiset) -> list[tuple]:
-    """The candidates of ``target`` in instance order, as (instance, degree
-    Counter)."""
-    return [(inst, cat.degrees_of(inst).counter()) for inst in cat.candidates(target)]
-
-
 def walk(
     table: list[tuple],
     target: DegreeMultiset,
@@ -115,12 +109,12 @@ def decompose(cat: Catalog, target) -> list[Decomposition]:
     is independent of the input degree order.
     """
     target = DegreeMultiset.of(target)
-    return _listing(candidate_table(cat, target), target)
+    return _listing(cat.candidate_table(target), target)
 
 
 def decompose_at_prime(cat: Catalog, target, p: int) -> list[Decomposition]:
     """The decompositions of ``target`` all of whose parts occur at ``p``."""
     ensure_prime(p)
     target = DegreeMultiset.of(target)
-    table = candidate_table(cat, target)
-    return _listing([c for c in table if cat.occurs_at(c[0], p)], target)
+    table = cat.candidate_table(target)
+    return _listing([c for c in table if p in cat.prime_set_of(c[0])], target)

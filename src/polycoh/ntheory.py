@@ -4,6 +4,7 @@ checked lcm."""
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 from .errors import ModulusOverflowError, NotAPrimeError, SizeLimitError
@@ -31,6 +32,15 @@ _RHO_BATCH = 128
 # within 230,000 steps in trials.  The limit refuses a 40-digit product of
 # two 20-digit primes in about a second.
 RHO_STEPS = 1 << 21
+
+
+def int_of_digits(digits: str, error: type[Exception]) -> int:
+    """``int(digits)``, or ``error`` naming Python's limit on its length."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = f"Python's {sys.get_int_max_str_digits()}-digit limit for an int"
+        raise error(f"a {len(digits)}-digit number is past {limit}") from None
 
 
 @lru_cache(maxsize=65536)

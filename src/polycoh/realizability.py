@@ -19,7 +19,7 @@ from itertools import count
 from typing import Callable
 
 from .catalog import Catalog, DegreeMultiset
-from .decompose import Decomposition, candidate_table, walk
+from .decompose import Decomposition, walk
 from .errors import InvalidParametersError
 from .ntheory import (
     ensure_prime,
@@ -133,7 +133,7 @@ class _Search:
 
     def __init__(self, cat: Catalog, target) -> None:
         self.target = DegreeMultiset.of(target)
-        self.table = candidate_table(cat, self.target)
+        self.table = cat.candidate_table(self.target)
         self.part_primes = cache(cat.prime_set_of)
 
     def prime_set(self) -> ResidueSet:
@@ -207,10 +207,9 @@ def realizable_over(cat: Catalog, target, spec: PrimeSpec) -> RealizabilityRepor
     contains no prime below the scan bound carries the offending residue
     class instead.
     """
-    target = DegreeMultiset.of(target)
     search = _Search(cat, target)
     ps = search.prime_set()
-    report = RealizabilityReport(target, spec, False, ps)
+    report = RealizabilityReport(search.target, spec, False, ps)
 
     if spec.kind == "cofinite":
         excluded = set(spec.primes)
@@ -219,9 +218,9 @@ def realizable_over(cat: Catalog, target, spec: PrimeSpec) -> RealizabilityRepor
             p0 = _first_prime(ALL_PRIMES, lambda p: p not in excluded)
             report.witnesses[p0] = search.witness(p0)
     elif spec.kind == "finite":
-        found = {p: search.witness(p) for p in spec.primes}
-        report.witnesses = {p: dec for p, dec in found.items() if dec is not None}
-        report.failing_prime = next((p for p, dec in found.items() if dec is None), None)
+        # A listed prime has a witness exactly when it lies in ps.
+        report.failing_prime = next((p for p in spec.primes if p not in ps), None)
+        report.witnesses = {p: search.witness(p) for p in spec.primes if p in ps}
     elif spec.kind == "listable":
         if prime_subset(spec.classes, ps):
             p0 = _first_prime(spec.classes, bound=WITNESS_PRIME_BOUND)

@@ -31,6 +31,13 @@ class SuiteResult:
     def passed(self) -> bool:
         return not self.mismatches
 
+    def record(self, degrees, got: bool, expected: bool) -> None:
+        self.checked += 1
+        if got != expected:
+            self.mismatches.append(
+                {"degrees": list(degrees), "engine": got, "bruteforce": expected}
+            )
+
     def summary(self) -> str:
         status = "ok" if self.passed else f"{len(self.mismatches)} mismatches"
         return f"{self.name}: {self.checked} checked, {status}"
@@ -104,13 +111,8 @@ def check_integral_realizability(
     allowed = multiset_monoid(classical_generator_types(max_degree), max_count)
     spec = PrimeSpec.all_primes()
     for ms in even_degree_multisets(max_degree, max_count):
-        expected = ms in allowed
         got = realizable_over(cat, DegreeMultiset.of(ms), spec).verdict
-        result.checked += 1
-        if got != expected:
-            result.mismatches.append(
-                {"degrees": list(ms), "engine": got, "bruteforce": expected}
-            )
+        result.record(ms, got, ms in allowed)
     return result
 
 
@@ -127,18 +129,9 @@ def check_p3_realizability(
     gens = p3_generator_types(max_degree)
     for gen in gens:
         ok, _ = realizable_at_prime(cat, DegreeMultiset.of(gen), 3)
-        result.checked += 1
-        if not ok:
-            result.mismatches.append(
-                {"degrees": list(gen), "engine": False, "bruteforce": True}
-            )
+        result.record(gen, ok, True)
     allowed = multiset_monoid(gens, max_count)
     for ms in even_degree_multisets(max_degree, max_count):
-        expected = ms in allowed
         got, _ = realizable_at_prime(cat, DegreeMultiset.of(ms), 3)
-        result.checked += 1
-        if got != expected:
-            result.mismatches.append(
-                {"degrees": list(ms), "engine": got, "bruteforce": expected}
-            )
+        result.record(ms, got, ms in allowed)
     return result

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -153,6 +154,15 @@ def test_parse_entry_name_forms():
     assert parse_entry_name("C_12") == ("C", (12,))
     assert parse_entry_name("G_2") == ("G_2", ())
     assert parse_entry_name("G_34") == ("G_34", ())
+
+
+def test_parse_entry_name_refuses_numbers_past_the_digit_limit():
+    # Python reads at most sys.get_int_max_str_digits() digits as an int.
+    ones = "1" * 5000
+    limit = f"{sys.get_int_max_str_digits()}-digit limit"
+    for name in (f"SU({ones})", f"G(6, {ones}, 2)", f"D_{ones}0"):
+        with pytest.raises(InvalidParametersError, match=limit):
+            parse_entry_name(name)
 
 
 def test_entry_names_round_trip(cat):
@@ -364,6 +374,27 @@ def test_import_rejects_names_with_braces(cat):
         doc["sporadics"][0]["name"] = name
         with pytest.raises(CatalogError, match=re.escape(repr(name))):
             import_json(json.dumps(doc))
+
+
+def test_import_rejects_a_sporadic_named_like_a_family(cat):
+    # Such a row would shadow the family: with the first sporadic renamed
+    # SU, congruence_classes(cat, [4, 6]) raised TypeError.
+    # The family need not be in the document to be refused.
+    doc = json.loads(export_json(cat))
+    for families in (doc["families"], []):
+        doc["families"] = families
+        for name in ("SU", "S^1", "G(m,r,n)"):
+            doc["sporadics"][0]["name"] = name
+            with pytest.raises(CatalogError, match=re.escape(repr(name))):
+                import_json(json.dumps(doc))
+
+
+def test_import_rejects_two_sporadics_of_one_name(cat):
+    doc = json.loads(export_json(cat))
+    name = doc["sporadics"][0]["name"]
+    doc["sporadics"][5]["name"] = name
+    with pytest.raises(CatalogError, match=repr(name)):
+        import_json(json.dumps(doc))
 
 
 def test_import_normalizes_prime_sets(cat):

@@ -44,6 +44,14 @@ def test_parse_ring_inverted_integers():
         parse_ring("Z[2]")
 
 
+def test_parse_ring_refuses_numbers_past_the_digit_limit():
+    ones = "1" * 5000
+    limit = f"{sys.get_int_max_str_digits()}-digit limit"
+    for ring in (f"F_{ones}", f"Z[1/{ones}]", f"Z[1/2, 1/{ones}]"):
+        with pytest.raises(RingSpecError, match=limit):
+            parse_ring(ring)
+
+
 def test_parse_ring_prime_lists():
     assert parse_ring("primes=2,5") == PrimeSpec.finite([2, 5])
     assert parse_ring("primes=mod:6:1,5") == PrimeSpec.listable(
@@ -230,6 +238,24 @@ def test_space_separated_degrees_are_refused_with_an_error_line(capsys):
     assert code == 1 and out == ""
     assert err.startswith("error:") and "'4 6'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("primes", "--degrees", f"SU({'1' * 5000})"),
+        ("primes", "--degrees", f"4,{'2' * 5000}"),
+        ("check", "--degrees", "4", "--ring", f"F_{'1' * 5000}"),
+        ("check", "--degrees", "4", "--ring", f"Z[1/{'1' * 5000}]"),
+    ],
+)
+def test_numbers_past_the_digit_limit_are_refused_with_an_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (
+        "error: a 5000-digit number is past Python's "
+        f"{sys.get_int_max_str_digits()}-digit limit for an int\n"
+    )
 
 
 def test_error_exit_codes(capsys):

@@ -3,9 +3,11 @@
 Every realizability query reads its prime set, its per-prime verdicts and
 its witnesses from one candidate list, walked without ever listing the
 decompositions (``decompose`` is never called), and looks up each distinct
-part's prime set at most once.  The finite ring spec is checked against a
-copy of the per-prime path it replaced, which searched once per listed
-prime.
+part's prime set at most once.  The catalog's one pass over its rows builds
+that list with each candidate's degrees, which no query works out again.
+The finite ring spec is checked against a copy of the per-prime path it
+replaced, which searched once per listed prime, and reads its verdicts off
+the prime set, walking only at the listed primes that lie in it.
 """
 
 from collections import Counter
@@ -16,10 +18,11 @@ from test_golden_cli import NAMED
 
 from polycoh.catalog import Catalog
 from polycoh.cli import parse_degrees, parse_ring
-from polycoh.decompose import decompose_at_prime
+from polycoh.decompose import decompose, decompose_at_prime
 from polycoh.ntheory import primes_below
 from polycoh.realizability import (
     PrimeSpec,
+    congruence_classes,
     prime_set_of_type,
     realizable_at_prime,
     realizable_over,
@@ -46,9 +49,9 @@ TYPES = ("", "4,6", "4,12", "12,16", "4,4,8,12", "4,6,8,12,16", "SU(5)+Sp(2)", "
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts decomposition listings, candidate lists, unions of the prime
-    set walk and prime-set lookups per part; ``counts.clear()`` starts a new
-    query."""
+    """Counts decomposition listings, passes over the catalog, unions of the
+    prime set walk and prime-set lookups per part; ``counts.clear()`` starts
+    a new query."""
     counts = Counter()
 
     def counting(name, fn):
@@ -66,8 +69,10 @@ def counted(monkeypatch):
 
     for name in ("decompose", "decompose_at_prime"):
         monkeypatch.setattr(DECOMPOSE, name, counting("listing", getattr(DECOMPOSE, name)))
-    for name in ("candidate_table", "union"):
-        monkeypatch.setattr(REALIZABILITY, name, counting(name, getattr(REALIZABILITY, name)))
+    monkeypatch.setattr(REALIZABILITY, "union", counting("union", REALIZABILITY.union))
+    monkeypatch.setattr(
+        Catalog, "candidate_table", counting("pass", Catalog.candidate_table)
+    )
     monkeypatch.setattr(Catalog, "prime_set_of", counting_lookup)
     return counts
 
@@ -75,7 +80,7 @@ def counted(monkeypatch):
 def _assert_one_search(counts, query):
     lookups = {part: n for part, n in counts.items() if not isinstance(part, str)}
     assert counts["listing"] == 0, query
-    assert counts["candidate_table"] == 1, query
+    assert counts["pass"] == 1, query
     assert max(lookups.values(), default=0) <= 1, (query, lookups)
 
 
@@ -94,6 +99,44 @@ def test_every_query_searches_once(cat, counted, text):
         counted.clear()
         realizable_over(cat, target, spec)
         _assert_one_search(counted, f"realizable_over {ring}")
+
+
+def test_no_query_works_out_a_candidates_degrees_again(cat, monkeypatch):
+    targets = [parse_degrees(text, cat) for text in TYPES]
+    specs = [parse_ring(ring) for ring in RINGS]
+
+    def refuse(self, inst):
+        raise AssertionError(f"degrees_of({inst.name}) called")
+
+    monkeypatch.setattr(Catalog, "degrees_of", refuse)
+    for target in targets:
+        prime_set_of_type(cat, target)
+        congruence_classes(cat, target)
+        decompose(cat, target)
+        for p in (2, 3, 5):
+            realizable_at_prime(cat, target, p)
+            decompose_at_prime(cat, target, p)
+        for spec in specs:
+            realizable_over(cat, target, spec)
+
+
+def test_finite_spec_walks_only_at_listed_primes_of_the_prime_set(cat, monkeypatch):
+    walked = []
+    witness = REALIZABILITY._Search.witness
+
+    def recording(self, p):
+        walked.append(p)
+        return witness(self, p)
+
+    monkeypatch.setattr(REALIZABILITY._Search, "witness", recording)
+    spec = PrimeSpec.finite(PRIMES_50)
+    for text in TYPES + ("12", "4,10", "G_24", "E_8"):
+        target = parse_degrees(text, cat)
+        ps = prime_set_of_type(cat, target)
+        walked.clear()
+        report = realizable_over(cat, target, spec)
+        assert walked == [p for p in PRIMES_50 if p in ps], text
+        assert sorted(report.witnesses) == walked, text
 
 
 def _old_witness(cat, target, p):
