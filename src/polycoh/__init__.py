@@ -37,11 +37,8 @@ from .errors import (
     SizeLimitError,
 )
 from .molien import (
-    PhasedPermutation,
     TruncatedSeries,
-    cycle_factors,
     doubled_degrees,
-    group_elements,
     group_order,
     invariant_degrees,
     molien_series,

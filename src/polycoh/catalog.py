@@ -23,10 +23,15 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, product, takewhile
+from itertools import chain, count, islice, product, takewhile
 from typing import Callable, Iterable, Iterator
 
-from .errors import CatalogError, InvalidParametersError, InvalidTypeError
+from .errors import (
+    CatalogError,
+    InvalidParametersError,
+    InvalidTypeError,
+    SizeLimitError,
+)
 from .ntheory import int_of_digits
 from .residues import (
     ALL_PRIMES,
@@ -39,6 +44,9 @@ from .residues import (
     normalize,
 )
 
+# The most generator degrees a type may have.
+MAX_DEGREES = 10**5
+
 
 @dataclass(frozen=True)
 class DegreeMultiset:
@@ -46,7 +54,8 @@ class DegreeMultiset:
 
     Stored sorted ascending so equality is structural.  Every degree must be
     a positive even integer; odd-degree generators only arise over rings
-    where 2 = 0, which this engine does not model.
+    where 2 = 0, which this engine does not model.  A type has at most
+    MAX_DEGREES degrees.
     """
 
     degrees: tuple[int, ...]
@@ -56,7 +65,7 @@ class DegreeMultiset:
         if isinstance(degrees, DegreeMultiset):
             return degrees
         out = []
-        for d in degrees:
+        for d in islice(degrees, MAX_DEGREES + 1):
             try:
                 d = operator.index(d)
             except TypeError:
@@ -67,6 +76,10 @@ class DegreeMultiset:
                     "even integers (odd generators are out of scope)"
                 )
             out.append(d)
+        if len(out) > MAX_DEGREES:
+            raise SizeLimitError(
+                f"a type may have at most MAX_DEGREES = {MAX_DEGREES} degrees"
+            )
         return cls(tuple(sorted(out)))
 
     def __iter__(self) -> Iterator[int]:
@@ -86,7 +99,7 @@ class DegreeMultiset:
         return Counter(self.degrees)
 
     def union(self, other: "DegreeMultiset") -> "DegreeMultiset":
-        return DegreeMultiset(tuple(sorted(self.degrees + other.degrees)))
+        return DegreeMultiset.of(chain(self, other))
 
 
 @dataclass(frozen=True)
@@ -186,7 +199,7 @@ _FAMILIES = (
         ident="Spin",
         pattern="Spin({})",
         scale=(2,),
-        degrees=lambda n: [4 * i for i in range(1, n)] + [2 * n],
+        degrees=lambda n: chain(range(4, 4 * n, 4), (2 * n,)),
         primes=lambda n: _P_GE_3,
         prime_condition="p >= 3",
         degree_formula="4, 8, ..., 4(n-1), 2n",
@@ -209,7 +222,9 @@ _FAMILIES = (
     FamilyTemplate(
         ident="G(m,r,n)",
         pattern="G({},{},{})",
-        degrees=lambda m, r, n: [2 * m * i for i in range(1, n)] + [2 * m * n // r],
+        degrees=lambda m, r, n: chain(
+            range(2 * m, 2 * m * n, 2 * m), (2 * m * n // r,)
+        ),
         primes=lambda m, r, n: _classes(m, (1,)),
         prime_condition="p == 1 (mod m)",
         degree_formula="2m, 4m, ..., 2(n-1)m, 2mn/r",
@@ -454,6 +469,8 @@ def import_json(text: str) -> Catalog:
         fam = _FAMILY_BY_IDENT.get(name)
         if fam is None:
             raise CatalogError(f"family {name!r}: unknown family identifier")
+        if fam in families:
+            raise CatalogError(f"family {name!r}: listed twice")
         expected = {
             "constraints": fam.constraints,
             "degreeFormula": fam.degree_formula,

@@ -97,25 +97,25 @@ def parse_degrees(text: str, cat: Catalog) -> DegreeMultiset:
 
     "4,6,8", "SU(5)+Sp(2)" and "4,4+C_6" are all accepted.
     """
-    out = DegreeMultiset.of(())
-    stripped = text.strip()
-    if not stripped:
-        return out
-    for token in stripped.split("+"):
-        token = token.strip()
-        if re.fullmatch(r"[\d\s,]+", token):
-            nums = []
-            for piece in filter(None, map(str.strip, token.split(","))):
-                if not piece.isdecimal():
-                    raise InvalidTypeError(
-                        f"cannot read {piece!r} as a degree: separate degrees by commas"
-                    )
-                nums.append(int_of_digits(piece, InvalidTypeError))
-            out = out.union(DegreeMultiset.of(nums))
-        else:
-            inst = cat.lookup(token)
-            out = out.union(cat.degrees_of(inst))
-    return out
+    def degrees():
+        if not text.strip():
+            return
+        for token in text.split("+"):
+            token = token.strip()
+            if re.fullmatch(r"[\d\s,]+", token):
+                nums = []
+                for piece in filter(None, map(str.strip, token.split(","))):
+                    if not piece.isdecimal():
+                        raise InvalidTypeError(
+                            f"cannot read {piece!r} as a degree: "
+                            "separate degrees by commas"
+                        )
+                    nums.append(int_of_digits(piece, InvalidTypeError))
+                yield from nums
+            else:
+                yield from cat.degrees_of(cat.lookup(token))
+
+    return DegreeMultiset.of(degrees())
 
 
 def _emit_json(doc) -> None:

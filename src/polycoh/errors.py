@@ -35,8 +35,8 @@ class InvalidParametersError(PolycohError, ValueError):
 
 class SizeLimitError(PolycohError, RuntimeError):
     """A computation would exceed its budget: the elements of a group
-    enumeration, the Pollard-Brent rho steps to factor an integer, or the
-    nodes of a decomposition walk."""
+    average, the Pollard-Brent rho steps to factor an integer, the nodes of
+    a decomposition walk, or the degrees of a type."""
 
 
 class InternalArithmeticError(PolycohError, RuntimeError):

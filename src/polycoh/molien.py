@@ -1,11 +1,13 @@
 """Exact Molien-series verification of the monomial reflection families.
 
 G(m, r, n) is the group of n x n monomial matrices whose nonzero entries
-are m-th roots of unity with phase product an (m/r)-th root of unity.  Its
-ring of invariant polynomial functions is free on generators of degrees
-m, 2m, ..., (n-1)m, mn/r (in the convention where linear forms have degree
-one; consumers working with doubled cohomological degrees halve first or
-use :func:`doubled_degrees`).
+are m-th roots of unity with phase product an (m/r)-th root of unity: a
+permutation of the n coordinates with a phase vector in (Z/m)^n, the
+exponents of its entries, that sums to 0 mod r.  Its ring of invariant
+polynomial functions is free on generators of degrees m, 2m, ..., (n-1)m,
+mn/r (in the convention where linear forms have degree one; consumers
+working with doubled cohomological degrees halve first or use
+:func:`doubled_degrees`).
 
 This module recomputes the graded dimension series of the invariant ring
 directly from the group average
@@ -20,12 +22,14 @@ integer arithmetic; a verdict carries no tolerance.
 Expansion strategy: each factor 1/(1 - zeta^e t^len) is a geometric series,
 so a group element's series has coefficients that are Z-linear tallies of
 root-of-unity powers.  Those tallies are accumulated unreduced (exactly) in
-the group ring of Z/m.  Elements sharing a cycle-shape contribute identical
-series and are tallied once.  The summed tallies are Galois-stable, because
-zeta -> zeta^k (k a unit mod m) permutes G(m, r, n); so each is constant
-on the orbits {u : gcd(u, m) = d}, and is read off as an integer with the
-Moebius function (:func:`_orbit_value`).  A tally that is not constant on
-its orbits, or an average that is not a nonnegative integer, is a bug.
+the group ring of Z/m.  Elements sharing a cycle shape contribute identical
+series, so each shape's series is built once and weighted by the number of
+its elements, which are counted, not built (:func:`_shape_counts`).  The
+summed tallies are Galois-stable, because zeta -> zeta^k (k a unit mod m)
+permutes G(m, r, n); so each is constant on the orbits {u : gcd(u, m) = d},
+and is read off as an integer with the Moebius function
+(:func:`_orbit_value`).  A tally that is not constant on its orbits, or an
+average that is not a nonnegative integer, is a bug.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import (
     InternalArithmeticError,
@@ -72,45 +75,6 @@ def _orbit_value(tally: list[int], m: int) -> int | None:
 
 
 @dataclass(frozen=True)
-class PhasedPermutation:
-    """A monomial matrix: basis vector i maps to zeta^phases[i] times
-    basis vector perm[i], with phases exponents of a primitive m-th root.
-
-    Membership in G(m, r, n) requires the phase sum to vanish mod r.
-    """
-
-    perm: tuple[int, ...]
-    phases: tuple[int, ...]
-    m: int
-    r: int
-
-    def __post_init__(self) -> None:
-        n = len(self.perm)
-        if self.m < 1 or self.r < 1 or self.m % self.r:
-            raise InvalidParametersError(
-                f"invalid group parameters m={self.m}, r={self.r}"
-            )
-        if sorted(self.perm) != list(range(n)) or len(self.phases) != n:
-            raise InvalidParametersError("not a phased permutation")
-        if any(not 0 <= a < self.m for a in self.phases):
-            raise InvalidParametersError("phase exponents must lie in [0, m)")
-        if sum(self.phases) % self.r:
-            raise InvalidParametersError(
-                f"phase sum {sum(self.phases)} is not divisible by r={self.r}"
-            )
-
-    def __mul__(self, other: "PhasedPermutation") -> "PhasedPermutation":
-        if (self.m, self.r) != (other.m, other.r):
-            raise InvalidParametersError("mixed groups in composition")
-        perm = tuple(self.perm[other.perm[i]] for i in range(len(self.perm)))
-        phases = tuple(
-            (other.phases[i] + self.phases[other.perm[i]]) % self.m
-            for i in range(len(self.perm))
-        )
-        return PhasedPermutation(perm, phases, self.m, self.r)
-
-
-@dataclass(frozen=True)
 class TruncatedSeries:
     """A power series truncated to t^0 .. t^(order-1), exact coefficients."""
 
@@ -132,46 +96,41 @@ def _validate_group(m: int, r: int, n: int) -> None:
         )
 
 
-def group_elements(
-    m: int, r: int, n: int, budget: int = DEFAULT_BUDGET
-) -> Iterator[PhasedPermutation]:
-    """Stream every element of G(m, r, n) exactly once."""
+def _shape_counts(m: int, r: int, n: int, budget: int) -> Counter:
+    """How many elements of G(m, r, n) have each cycle shape: the sorted
+    (length, phase sum mod m) pairs of their permutation cycles.
+
+    Summing the phases over each of a permutation's k cycles maps (Z/m)^n
+    onto (Z/m)^k, so every tuple of cycle sums comes from m^(n-k) phase
+    vectors, whose elements lie in G(m, r, n) iff the sums add up to
+    0 mod r.  The permutations are walked once, for their cycle lengths.
+    """
     _validate_group(m, r, n)
     order = group_order(m, r, n)
     if order > budget:
         raise SizeLimitError(
             f"G({m},{r},{n}) has {order} elements, beyond the budget of {budget}"
         )
-
-    def iterate() -> Iterator[PhasedPermutation]:
-        for perm in itertools.permutations(range(n)):
-            for phases in itertools.product(range(m), repeat=n):
-                if sum(phases) % r == 0:
-                    yield PhasedPermutation(perm, phases, m, r)
-
-    return iterate()
-
-
-def cycle_factors(g: PhasedPermutation) -> list[tuple[int, int]]:
-    """(length, phase-sum mod m) per permutation cycle, sorted.
-
-    The characteristic factor of g on a cycle is 1 - zeta^e t^length.
-    """
-    n = len(g.perm)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, e, i = 0, 0, start
-        while not seen[i]:
-            seen[i] = True
-            e += g.phases[i]
-            length += 1
-            i = g.perm[i]
-        out.append((length, e % g.m))
-    out.sort()
-    return out
+    cycle_types = Counter()
+    for perm in itertools.permutations(range(n)):
+        seen = [False] * n
+        lengths = []
+        for start in range(n):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                length += 1
+                i = perm[i]
+            if length:
+                lengths.append(length)
+        cycle_types[tuple(sorted(lengths))] += 1
+    shapes = Counter()
+    for lengths, perms in cycle_types.items():
+        weight = perms * m ** (n - len(lengths))
+        for sums in itertools.product(range(m), repeat=len(lengths)):
+            if sum(sums) % r == 0:
+                shapes[tuple(sorted(zip(lengths, sums)))] += weight
+    return shapes
 
 
 def _cycle_product_series(
@@ -205,9 +164,7 @@ def molien_series(
     """
     if order < 1:
         raise InvalidParametersError(f"truncation order must be >= 1, got {order}")
-    shapes = Counter(
-        tuple(cycle_factors(g)) for g in group_elements(m, r, n, budget)
-    )
+    shapes = _shape_counts(m, r, n, budget)
     total = [[0] * m for _ in range(order)]
     for shape, count in shapes.items():
         series = _cycle_product_series(shape, m, order)

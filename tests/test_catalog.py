@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -7,12 +8,18 @@ from collections import Counter
 import pytest
 
 from polycoh.catalog import (
+    MAX_DEGREES,
     DegreeMultiset,
     export_json,
     import_json,
     parse_entry_name,
 )
-from polycoh.errors import CatalogError, InvalidParametersError, InvalidTypeError
+from polycoh.errors import (
+    CatalogError,
+    InvalidParametersError,
+    InvalidTypeError,
+    SizeLimitError,
+)
 from polycoh.ntheory import divisors, primes_below
 from polycoh.residues import as_json_dict, contains_prime, make, normalize
 from polycoh.verify import even_degree_multisets
@@ -65,6 +72,18 @@ def test_degree_multiset_union():
     a = DegreeMultiset.of([4, 8])
     b = DegreeMultiset.of([2, 8])
     assert a.union(b).degrees == (2, 4, 8, 8)
+
+
+def test_degree_multiset_refuses_more_than_the_limit():
+    full = DegreeMultiset.of([2] * MAX_DEGREES)
+    assert len(full) == MAX_DEGREES
+    with pytest.raises(SizeLimitError, match=f"MAX_DEGREES = {MAX_DEGREES}"):
+        full.union(DegreeMultiset.of([4]))
+    # An endless iterable is refused after the limit plus one degree.
+    pulled = itertools.count()
+    with pytest.raises(SizeLimitError, match="MAX_DEGREES"):
+        DegreeMultiset.of(2 for _ in pulled)
+    assert next(pulled) == MAX_DEGREES + 1
 
 
 # ---------------------------------------------------------------- fixed rows
@@ -394,6 +413,14 @@ def test_import_rejects_two_sporadics_of_one_name(cat):
     name = doc["sporadics"][0]["name"]
     doc["sporadics"][5]["name"] = name
     with pytest.raises(CatalogError, match=repr(name)):
+        import_json(json.dumps(doc))
+
+
+def test_import_rejects_a_family_listed_twice(cat):
+    # With SU listed twice, candidates([4, 6]) listed SU(2) and SU(3) twice.
+    doc = json.loads(export_json(cat))
+    doc["families"] += [row for row in doc["families"] if row["name"] == "SU"]
+    with pytest.raises(CatalogError, match="'SU'"):
         import_json(json.dumps(doc))
 
 

@@ -9,8 +9,8 @@ import pytest
 
 import polycoh
 from polycoh.cli import main, parse_degrees, parse_ring
-from polycoh.catalog import builtin
-from polycoh.errors import NotAPrimeError, RingSpecError
+from polycoh.catalog import MAX_DEGREES, builtin
+from polycoh.errors import NotAPrimeError, RingSpecError, SizeLimitError
 from polycoh.ntheory import RHO_STEPS
 from polycoh.realizability import PrimeSpec
 from polycoh.residues import make, normalize
@@ -256,6 +256,32 @@ def test_numbers_past_the_digit_limit_are_refused_with_an_error_line(capsys, arg
         "error: a 5000-digit number is past Python's "
         f"{sys.get_int_max_str_digits()}-digit limit for an int\n"
     )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "SU(20000000)",
+        "Sp(30000000)",
+        "Spin(40000000)",
+        "G(3,1,20000000)",
+        "G(4,4,3000000)",
+    ],
+)
+def test_types_past_the_degree_limit_are_refused_quickly(capsys, name):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "primes", "--degrees", name)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    limit = f"MAX_DEGREES = {MAX_DEGREES}"
+    assert err == f"error: a type may have at most {limit} degrees\n"
+
+
+def test_joined_pieces_past_the_degree_limit_are_refused():
+    half = MAX_DEGREES // 2 + 1
+    assert len(parse_degrees(f"SU({half})", builtin())) == half - 1
+    with pytest.raises(SizeLimitError, match="MAX_DEGREES"):
+        parse_degrees(f"SU({half})+Sp({half})", builtin())
 
 
 def test_error_exit_codes(capsys):

@@ -1,6 +1,7 @@
+import itertools
 import math
+from collections import Counter
 from functools import lru_cache
-from itertools import islice
 from random import Random
 
 import pytest
@@ -11,12 +12,12 @@ from polycoh.errors import (
     InvalidParametersError,
     SizeLimitError,
 )
+from polycoh.cli import _molien_sweep
 from polycoh.molien import (
-    PhasedPermutation,
+    DEFAULT_BUDGET,
     _orbit_value,
-    cycle_factors,
+    _shape_counts,
     doubled_degrees,
-    group_elements,
     group_order,
     invariant_degrees,
     molien_series,
@@ -26,54 +27,79 @@ from polycoh.ntheory import divisors
 
 
 # ---------------------------------------------------------------- group model
+#
+# The reference below builds every element of G(m, r, n), a permutation
+# with a phase vector summing to 0 mod r, and tallies its cycle shape: the
+# sorted (length, phase sum mod m) pairs of its cycles.
 
 
-def test_group_orders_match_stream_length():
+def brute_shape_counts(m, r, n):
+    shapes = Counter()
+    for perm in itertools.permutations(range(n)):
+        for phases in itertools.product(range(m), repeat=n):
+            if sum(phases) % r:
+                continue
+            seen, shape = set(), []
+            for start in range(n):
+                length, e, i = 0, 0, start
+                while i not in seen:
+                    seen.add(i)
+                    e += phases[i]
+                    length += 1
+                    i = perm[i]
+                if length:
+                    shape.append((length, e % m))
+            shapes[tuple(sorted(shape))] += 1
+    return shapes
+
+
+def test_shape_counts_equal_the_element_tally():
+    larger = [(2, 1, 4), (3, 3, 4), (4, 2, 4), (2, 1, 5), (2, 2, 5)]
+    for m, r, n in _molien_sweep() + larger:
+        assert _shape_counts(m, r, n, DEFAULT_BUDGET) == brute_shape_counts(m, r, n)
+
+
+def test_shape_counts_sum_to_group_order():
     cases = [(1, 1, 2), (3, 1, 2), (6, 6, 2), (4, 2, 2), (2, 1, 3), (3, 3, 3)]
-    for m, r, n in cases:
-        elems = list(group_elements(m, r, n))
-        assert len(elems) == group_order(m, r, n) == m**n * math.factorial(n) // r
-        assert len(set(elems)) == len(elems)  # exactly once each
+    for m, r, n in cases + [(6, 1, 5)]:
+        total = sum(_shape_counts(m, r, n, DEFAULT_BUDGET).values())
+        assert total == group_order(m, r, n) == m**n * math.factorial(n) // r
 
 
 def test_group_budget_and_validation():
     with pytest.raises(SizeLimitError):
-        group_elements(100, 1, 5)
+        molien_series(100, 1, 5, 1)
     with pytest.raises(InvalidParametersError):
-        group_elements(6, 4, 2)  # r does not divide m
+        molien_series(6, 4, 2, 1)  # r does not divide m
     with pytest.raises(InvalidParametersError):
-        group_elements(0, 1, 2)
+        molien_series(0, 1, 2, 1)
 
 
 def test_membership_constraint_enforced():
-    with pytest.raises(InvalidParametersError):
-        PhasedPermutation((0, 1), (1, 0), 3, 3)  # phase sum 1 != 0 mod 3
-    with pytest.raises(InvalidParametersError):
-        PhasedPermutation((0, 0), (0, 0), 3, 1)  # not a permutation
+    # every element's phase sum, the sum of its cycle sums, is 0 mod r
+    for m, r, n in ((3, 3, 2), (6, 2, 3), (4, 4, 3)):
+        for shape in _shape_counts(m, r, n, DEFAULT_BUDGET):
+            assert sum(e for _, e in shape) % r == 0
+    assert ((1, 0), (1, 1)) not in _shape_counts(3, 3, 2, DEFAULT_BUDGET)
 
 
-def test_group_closure_under_composition():
-    elems = list(group_elements(4, 2, 2))
-    members = set(elems)
-    sample = elems[:8]
-    for g in sample:
-        for h in sample:
-            assert g * h in members
+# A permutation with k cycles and given cycle sums carries m^(n-k) phase
+# vectors, and the cycle factor of each cycle is 1 - zeta^e t^length.
 
 
 def test_cycle_factors_identity():
-    g = PhasedPermutation((0, 1, 2), (0, 0, 0), 5, 1)
-    assert cycle_factors(g) == [(1, 0), (1, 0), (1, 0)]
+    # only the identity: three fixed points, each with phase 0
+    assert _shape_counts(5, 1, 3, DEFAULT_BUDGET)[((1, 0), (1, 0), (1, 0))] == 1
 
 
 def test_cycle_factors_full_cycle_phase_sum():
-    g = PhasedPermutation((1, 2, 0), (1, 1, 1), 3, 3)
-    assert cycle_factors(g) == [(3, 0)]  # 1+1+1 = 0 mod 3
+    # two 3-cycles, each with 3^2 phase vectors summing to 0 mod 3
+    assert _shape_counts(3, 3, 3, DEFAULT_BUDGET)[((3, 0),)] == 2 * 3**2
 
 
 def test_cycle_factors_transposition():
-    g = PhasedPermutation((1, 0), (1, 0), 4, 1)
-    assert cycle_factors(g) == [(2, 1)]
+    # one transposition, with 4 phase vectors summing to 1 mod 4
+    assert _shape_counts(4, 1, 2, DEFAULT_BUDGET)[((2, 1),)] == 4
 
 
 # ---------------------------------------------------------------- molien series
@@ -136,12 +162,6 @@ def test_verify_degrees_rejects_wrong_claim(monkeypatch):
         molien_mod, "invariant_degrees", lambda m, r, n: (2, 7)
     )
     assert not molien_mod.verify_degrees(6, 6, 2)
-
-
-def test_molien_stream_is_lazy_after_validation():
-    gen = group_elements(2, 1, 2)
-    first = list(islice(gen, 3))
-    assert len(first) == 3
 
 
 # ---------------------------------------------------- Galois-orbit reduction
@@ -286,9 +306,13 @@ def test_orbit_reduction_rejects_unstable_tallies(tally, m, rational):
 
 
 def test_molien_series_detects_a_missing_element(monkeypatch):
-    full = molien_mod.group_elements
-    monkeypatch.setattr(
-        molien_mod, "group_elements", lambda *args: iter(list(full(*args))[1:])
-    )
+    full = molien_mod._shape_counts
+
+    def without_the_identity(m, r, n, budget):
+        shapes = full(m, r, n, budget)
+        shapes[((1, 0),) * n] -= 1
+        return shapes
+
+    monkeypatch.setattr(molien_mod, "_shape_counts", without_the_identity)
     with pytest.raises(InternalArithmeticError):
         molien_series(3, 1, 2, 4)

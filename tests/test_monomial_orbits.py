@@ -17,6 +17,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import count, takewhile
 
+from polycoh.cli import _molien_sweep
 from polycoh.molien import doubled_degrees, invariant_degrees, molien_series
 from polycoh.ntheory import prime_factors
 from polycoh.residues import normalize
@@ -65,14 +66,10 @@ def test_small_cases_by_hand():
 
 
 def test_orbit_counts_equal_molien_series():
-    for m in range(1, 9):
-        for r in range(1, m + 1):
-            if m % r:
-                continue
-            for n in range(1, 4):
-                order = 1 + sum(invariant_degrees(m, r, n))
-                series = molien_series(m, r, n, order).coefficients
-                assert orbit_counts(m, r, n, order) == list(series), (m, r, n)
+    for m, r, n in _molien_sweep():
+        order = 1 + sum(invariant_degrees(m, r, n))
+        series = molien_series(m, r, n, order).coefficients
+        assert orbit_counts(m, r, n, order) == list(series), (m, r, n)
 
 
 def test_orbit_counts_equal_catalog_degrees_up_to_120(cat):
