@@ -22,22 +22,25 @@ integer arithmetic; a verdict carries no tolerance.
 Expansion strategy: each factor 1/(1 - zeta^e t^len) is a geometric series,
 so a group element's series has coefficients that are Z-linear tallies of
 root-of-unity powers.  Those tallies are accumulated unreduced (exactly) in
-the group ring of Z/m.  Elements sharing a cycle shape contribute identical
-series, so each shape's series is built once and weighted by the number of
-its elements, which are counted, not built (:func:`_shape_counts`).  The
-summed tallies are Galois-stable, because zeta -> zeta^k (k a unit mod m)
-permutes G(m, r, n); so each is constant on the orbits {u : gcd(u, m) = d},
-and is read off as an integer with the Moebius function
-(:func:`_orbit_value`).  A tally that is not constant on its orbits, or an
-average that is not a nonnegative integer, is a bug.
+the group ring of Z/m.  No group element is built: the n! permutations are
+walked once for their cycle types, and for each type the product is summed
+over the cycle phases one cycle at a time, keyed by the partial phase sum
+mod r (:func:`_tallies`).  The summed tallies are Galois-stable, because
+zeta -> zeta^k (k a unit mod m) permutes G(m, r, n); so each is constant on
+the orbits {u : gcd(u, m) = d}, and is read off as an integer with the
+Moebius function (:func:`_orbit_value`).  A tally that is not constant on
+its orbits, or an average that is not a nonnegative integer, is a bug.
+The group order is capped by a budget and the tally table by
+MAX_TALLY_CELLS; both refusals raise SizeLimitError before any work.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import add
 
 from .errors import (
     InternalArithmeticError,
@@ -46,6 +49,10 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 10**7
+
+# The most tally cells one partial-sum level of the Molien pass may hold:
+# r series of order x m integers.
+MAX_TALLY_CELLS = 10**5
 
 
 def _mobius(n: int) -> int:
@@ -85,10 +92,6 @@ class TruncatedSeries:
         return self.coefficients[j]
 
 
-def group_order(m: int, r: int, n: int) -> int:
-    return m**n * math.factorial(n) // r
-
-
 def _validate_group(m: int, r: int, n: int) -> None:
     if m < 1 or n < 1 or r < 1 or m % r:
         raise InvalidParametersError(
@@ -96,22 +99,15 @@ def _validate_group(m: int, r: int, n: int) -> None:
         )
 
 
-def _shape_counts(m: int, r: int, n: int, budget: int) -> Counter:
-    """How many elements of G(m, r, n) have each cycle shape: the sorted
-    (length, phase sum mod m) pairs of their permutation cycles.
-
-    Summing the phases over each of a permutation's k cycles maps (Z/m)^n
-    onto (Z/m)^k, so every tuple of cycle sums comes from m^(n-k) phase
-    vectors, whose elements lie in G(m, r, n) iff the sums add up to
-    0 mod r.  The permutations are walked once, for their cycle lengths.
-    """
+def group_order(m: int, r: int, n: int) -> int:
     _validate_group(m, r, n)
-    order = group_order(m, r, n)
-    if order > budget:
-        raise SizeLimitError(
-            f"G({m},{r},{n}) has {order} elements, beyond the budget of {budget}"
-        )
-    cycle_types = Counter()
+    return m**n * math.factorial(n) // r
+
+
+def _cycle_types(n: int) -> Counter:
+    """How many permutations of n points have each cycle type, the sorted
+    tuple of their cycle lengths; the n! permutations are walked once."""
+    types = Counter()
     for perm in itertools.permutations(range(n)):
         seen = [False] * n
         lengths = []
@@ -123,33 +119,65 @@ def _shape_counts(m: int, r: int, n: int, budget: int) -> Counter:
                 i = perm[i]
             if length:
                 lengths.append(length)
-        cycle_types[tuple(sorted(lengths))] += 1
-    shapes = Counter()
-    for lengths, perms in cycle_types.items():
-        weight = perms * m ** (n - len(lengths))
-        for sums in itertools.product(range(m), repeat=len(lengths)):
-            if sum(sums) % r == 0:
-                shapes[tuple(sorted(zip(lengths, sums)))] += weight
-    return shapes
+        types[tuple(sorted(lengths))] += 1
+    return types
 
 
-def _cycle_product_series(
-    shape: tuple[tuple[int, int], ...], m: int, order: int
-) -> list[list[int]]:
-    """Tally-form series of prod 1/(1 - zeta^e t^len) up to t^(order-1).
+def _add_quotient(
+    target: list[list[int]], series: list[list[int]], e: int, length: int
+) -> None:
+    """target += series / (1 - zeta^e t^length), row by row in place.
 
-    Row j is the coefficient of t^j as multiplicities of zeta^0..zeta^(m-1);
-    each factor is applied through the recurrence R = S + zeta^e t^len R.
+    The quotient R obeys R = S + zeta^e t^length R: its row j is row j of S
+    plus row j - length of R rotated by e.  Each row is added into target
+    as soon as it is known.
     """
-    cur = [[0] * m for _ in range(order)]
-    cur[0][0] = 1
-    for length, e in shape:
-        rot = [(u - e) % m for u in range(m)]
-        for j in range(length, order):
-            prev = cur[j - length]
-            row = cur[j]
-            cur[j] = [row[u] + prev[rot[u]] for u in range(m)]
-    return cur
+    m = len(target[0])
+    quotient = []
+    for j, row in enumerate(series):
+        if j >= length:
+            prev = quotient[j - length]
+            row = list(map(add, row, prev[m - e :] + prev[: m - e]))
+        quotient.append(row)
+        target[j] = list(map(add, target[j], row))
+
+
+def _tallies(m: int, r: int, n: int, order: int) -> list[list[int]]:
+    """sum over G(m, r, n) of prod_cycles 1/(1 - zeta^e t^len), up to
+    t^(order-1), in tally form: row j is the coefficient of t^j as
+    multiplicities of zeta^0..zeta^(m-1).
+
+    Summing the phases over each of a permutation's k cycles maps (Z/m)^n
+    onto (Z/m)^k, so every tuple of cycle sums (e_1, ..., e_k) comes from
+    m^(n-k) phase vectors, whose elements lie in G(m, r, n) iff
+    e_1 + ... + e_k = 0 (mod r).  For each cycle type the product is summed
+    over those tuples one cycle at a time: state[s] is the sum, over the
+    phase tuples of the cycles handled so far whose sum is s mod r, of
+    their factors' product.  Each cycle takes every state[s] through every
+    phase e into state (s + e) mod r; at the last cycle only the e with
+    s + e = 0 (mod r) are run, and state[0] is the type's sum.  The first
+    cycle starts from the series 1, whose quotient by 1 - zeta^e t^len is
+    written sparsely: zeta^(e*i) in row i*len.
+    """
+    total = [[0] * m for _ in range(order)]
+    for lengths, perms in _cycle_types(n).items():
+        state = {0: None}  # None is the series 1, before the first cycle
+        for index, length in enumerate(lengths):
+            last = index == len(lengths) - 1
+            new = defaultdict(lambda: [[0] * m for _ in range(order)])
+            for s, series in state.items():
+                for e in range(-s % r, m, r) if last else range(m):
+                    target = new[(s + e) % r]
+                    if series is None:
+                        for i, j in enumerate(range(0, order, length)):
+                            target[j][e * i % m] += 1
+                    else:
+                        _add_quotient(target, series, e, length)
+            state = new
+        weight = perms * m ** (n - len(lengths))
+        for j, row in enumerate(state[0]):
+            total[j] = [t + weight * x for t, x in zip(total[j], row)]
+    return total
 
 
 def molien_series(
@@ -164,19 +192,19 @@ def molien_series(
     """
     if order < 1:
         raise InvalidParametersError(f"truncation order must be >= 1, got {order}")
-    shapes = _shape_counts(m, r, n, budget)
-    total = [[0] * m for _ in range(order)]
-    for shape, count in shapes.items():
-        series = _cycle_product_series(shape, m, order)
-        for j in range(order):
-            row = series[j]
-            tot = total[j]
-            for u in range(m):
-                tot[u] += count * row[u]
-
     size = group_order(m, r, n)
+    if size > budget:
+        raise SizeLimitError(
+            f"G({m},{r},{n}) has {size} elements, beyond the budget of {budget}"
+        )
+    cells = order * m * r
+    if cells > MAX_TALLY_CELLS:
+        raise SizeLimitError(
+            f"G({m},{r},{n}) to order {order} needs {cells} tally cells, "
+            f"beyond MAX_TALLY_CELLS = {MAX_TALLY_CELLS}"
+        )
     coeffs = []
-    for j, tally in enumerate(total):
+    for j, tally in enumerate(_tallies(m, r, n, order)):
         value = _orbit_value(tally, m)
         if value is None:
             raise InternalArithmeticError(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 from functools import lru_cache
 from random import Random
@@ -14,9 +15,10 @@ from polycoh.errors import (
 )
 from polycoh.cli import _molien_sweep
 from polycoh.molien import (
-    DEFAULT_BUDGET,
+    MAX_TALLY_CELLS,
+    _cycle_types,
     _orbit_value,
-    _shape_counts,
+    _tallies,
     doubled_degrees,
     group_order,
     invariant_degrees,
@@ -24,6 +26,8 @@ from polycoh.molien import (
     verify_degrees,
 )
 from polycoh.ntheory import divisors
+
+LARGER = [(2, 1, 4), (3, 3, 4), (4, 2, 4), (2, 1, 5), (2, 2, 5)]
 
 
 # ---------------------------------------------------------------- group model
@@ -53,17 +57,88 @@ def brute_shape_counts(m, r, n):
     return shapes
 
 
+# The per-shape sum the partial-sum pass replaced: the elements of each
+# cycle shape are counted, each shape's series is built on its own, and the
+# series are added weighted by their counts.
+
+
+def shape_counts(m, r, n):
+    """How many elements of G(m, r, n) have each cycle shape: a permutation
+    with k cycles and given cycle sums carries m^(n-k) phase vectors."""
+    cycle_types = Counter()
+    for perm in itertools.permutations(range(n)):
+        seen = [False] * n
+        lengths = []
+        for start in range(n):
+            length, i = 0, start
+            while not seen[i]:
+                seen[i] = True
+                length += 1
+                i = perm[i]
+            if length:
+                lengths.append(length)
+        cycle_types[tuple(sorted(lengths))] += 1
+    shapes = Counter()
+    for lengths, perms in cycle_types.items():
+        weight = perms * m ** (n - len(lengths))
+        for sums in itertools.product(range(m), repeat=len(lengths)):
+            if sum(sums) % r == 0:
+                shapes[tuple(sorted(zip(lengths, sums)))] += weight
+    return shapes
+
+
+def cycle_product_series(shape, m, order):
+    """Tally form of prod 1/(1 - zeta^e t^len) up to t^(order-1), each factor
+    applied through the recurrence R = S + zeta^e t^len R."""
+    cur = [[0] * m for _ in range(order)]
+    cur[0][0] = 1
+    for length, e in shape:
+        rot = [(u - e) % m for u in range(m)]
+        for j in range(length, order):
+            prev = cur[j - length]
+            row = cur[j]
+            cur[j] = [row[u] + prev[rot[u]] for u in range(m)]
+    return cur
+
+
+def tallies_by_shape(shapes, m, order):
+    total = [[0] * m for _ in range(order)]
+    for shape, count in shapes.items():
+        series = cycle_product_series(shape, m, order)
+        for j in range(order):
+            for u in range(m):
+                total[j][u] += count * series[j][u]
+    return total
+
+
 def test_shape_counts_equal_the_element_tally():
-    larger = [(2, 1, 4), (3, 3, 4), (4, 2, 4), (2, 1, 5), (2, 2, 5)]
-    for m, r, n in _molien_sweep() + larger:
-        assert _shape_counts(m, r, n, DEFAULT_BUDGET) == brute_shape_counts(m, r, n)
+    # the reference the differential test below compares against
+    for m, r, n in _molien_sweep() + LARGER:
+        assert shape_counts(m, r, n) == brute_shape_counts(m, r, n)
 
 
-def test_shape_counts_sum_to_group_order():
+def test_tallies_equal_the_per_shape_sum():
+    for m, r, n in _molien_sweep() + LARGER:
+        order = 1 + sum(invariant_degrees(m, r, n))
+        expected = tallies_by_shape(shape_counts(m, r, n), m, order)
+        assert _tallies(m, r, n, order) == expected, (m, r, n)
+
+
+def test_tallies_equal_the_element_tally():
+    cases = [(1, 1, 3), (2, 1, 3), (3, 3, 3), (4, 2, 3), (6, 3, 2), (2, 2, 4), (3, 1, 4)]
+    for m, r, n in cases:
+        order = 2 + sum(invariant_degrees(m, r, n))
+        expected = tallies_by_shape(brute_shape_counts(m, r, n), m, order)
+        assert _tallies(m, r, n, order) == expected, (m, r, n)
+
+
+def test_t0_tally_is_the_group_order():
+    # every element contributes zeta^0 to the constant term, and nothing else
     cases = [(1, 1, 2), (3, 1, 2), (6, 6, 2), (4, 2, 2), (2, 1, 3), (3, 3, 3)]
     for m, r, n in cases + [(6, 1, 5)]:
-        total = sum(_shape_counts(m, r, n, DEFAULT_BUDGET).values())
-        assert total == group_order(m, r, n) == m**n * math.factorial(n) // r
+        size = group_order(m, r, n)
+        assert size == m**n * math.factorial(n) // r
+        assert _tallies(m, r, n, 1) == [[size] + [0] * (m - 1)]
 
 
 def test_group_budget_and_validation():
@@ -75,12 +150,46 @@ def test_group_budget_and_validation():
         molien_series(0, 1, 2, 1)
 
 
+def test_group_order_validates_its_group():
+    assert group_order(6, 3, 2) == 24
+    for m, r, n in ((6, 4, 2), (0, 1, 1), (-2, 1, 3), (2, 1, 0), (2, 0, 1)):
+        with pytest.raises(InvalidParametersError):
+            group_order(m, r, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: molien_series(2, 1, 1, 10**9),
+        lambda: verify_degrees(30000, 1, 1),
+        lambda: verify_degrees(3000, 1, 1),
+    ],
+)
+def test_tally_table_is_bounded(call):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=f"MAX_TALLY_CELLS = {MAX_TALLY_CELLS}"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_larger_groups_fit_the_limits_and_verify():
+    for m, r, n in LARGER + [(6, 1, 4), (6, 6, 4), (4, 4, 5), (30, 30, 3)]:
+        assert verify_degrees(m, r, n), (m, r, n)
+    start = time.perf_counter()
+    assert verify_degrees(20, 1, 4)
+    assert time.perf_counter() - start < 2
+
+
 def test_membership_constraint_enforced():
-    # every element's phase sum, the sum of its cycle sums, is 0 mod r
+    # G(m, r, 1) holds the scalars zeta^a with a = 0 mod r, so the t^1
+    # tally marks exactly the multiples of r
+    for m, r in ((6, 3), (4, 4), (5, 1), (6, 6)):
+        assert _tallies(m, r, 1, 2)[1] == [int(u % r == 0) for u in range(m)]
+    # and the reference shapes: every element's phase sum is 0 mod r
     for m, r, n in ((3, 3, 2), (6, 2, 3), (4, 4, 3)):
-        for shape in _shape_counts(m, r, n, DEFAULT_BUDGET):
+        for shape in shape_counts(m, r, n):
             assert sum(e for _, e in shape) % r == 0
-    assert ((1, 0), (1, 1)) not in _shape_counts(3, 3, 2, DEFAULT_BUDGET)
+    assert ((1, 0), (1, 1)) not in shape_counts(3, 3, 2)
 
 
 # A permutation with k cycles and given cycle sums carries m^(n-k) phase
@@ -89,17 +198,20 @@ def test_membership_constraint_enforced():
 
 def test_cycle_factors_identity():
     # only the identity: three fixed points, each with phase 0
-    assert _shape_counts(5, 1, 3, DEFAULT_BUDGET)[((1, 0), (1, 0), (1, 0))] == 1
+    assert _cycle_types(3)[(1, 1, 1)] == 1
+    assert shape_counts(5, 1, 3)[((1, 0), (1, 0), (1, 0))] == 1
 
 
 def test_cycle_factors_full_cycle_phase_sum():
     # two 3-cycles, each with 3^2 phase vectors summing to 0 mod 3
-    assert _shape_counts(3, 3, 3, DEFAULT_BUDGET)[((3, 0),)] == 2 * 3**2
+    assert _cycle_types(3)[(3,)] == 2
+    assert shape_counts(3, 3, 3)[((3, 0),)] == 2 * 3**2
 
 
 def test_cycle_factors_transposition():
     # one transposition, with 4 phase vectors summing to 1 mod 4
-    assert _shape_counts(4, 1, 2, DEFAULT_BUDGET)[((2, 1),)] == 4
+    assert _cycle_types(2) == {(1, 1): 1, (2,): 1}
+    assert shape_counts(4, 1, 2)[((2, 1),)] == 4
 
 
 # ---------------------------------------------------------------- molien series
@@ -306,13 +418,13 @@ def test_orbit_reduction_rejects_unstable_tallies(tally, m, rational):
 
 
 def test_molien_series_detects_a_missing_element(monkeypatch):
-    full = molien_mod._shape_counts
+    full = molien_mod._cycle_types
 
-    def without_the_identity(m, r, n, budget):
-        shapes = full(m, r, n, budget)
-        shapes[((1, 0),) * n] -= 1
-        return shapes
+    def without_the_identity(n):
+        types = full(n)
+        types[(1,) * n] -= 1
+        return types
 
-    monkeypatch.setattr(molien_mod, "_shape_counts", without_the_identity)
+    monkeypatch.setattr(molien_mod, "_cycle_types", without_the_identity)
     with pytest.raises(InternalArithmeticError):
         molien_series(3, 1, 2, 4)
