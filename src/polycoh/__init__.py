@@ -37,7 +37,6 @@ from .errors import (
     SizeLimitError,
 )
 from .molien import (
-    TruncatedSeries,
     doubled_degrees,
     group_order,
     invariant_degrees,

@@ -47,6 +47,10 @@ from .residues import (
 # The most generator degrees a type may have.
 MAX_DEGREES = 10**5
 
+# The most degree entries a candidate table may hold, summed over its rows:
+# SU(1000) needs 1.21 million, SU(2000) 4.79 million.
+MAX_TABLE_ENTRIES = 2 * 10**6
+
 
 @dataclass(frozen=True)
 class DegreeMultiset:
@@ -120,7 +124,7 @@ class FamilyTemplate:
     """One catalog family, defined by this row alone.
 
     ``pattern`` is the display name with one ``{}`` per parameter, each
-    shown times its ``scale`` (Spin(2n), D_2m); :func:`parse_entry_name`
+    shown times its ``scale`` (Spin(2n), D_2m); :meth:`Catalog.lookup`
     matches the regular expression derived from it.  ``degrees``,
     ``primes`` and ``check`` take the parameters as arguments; ``sweep``
     takes the target's degree counts and, starting from its distinct
@@ -302,7 +306,6 @@ def _sporadic(name: str, degrees: Iterable[int], primes: ResidueSet) -> FamilyTe
 
 
 _SPORADICS = tuple(_sporadic(*row) for row in _SPORADIC_ROWS)
-_ROWS = _FAMILIES + _SPORADICS
 
 
 @dataclass(frozen=True)
@@ -350,7 +353,7 @@ class Catalog:
 
     def lookup(self, name: str) -> EntryInstance:
         """Parse a display name such as 'SU(5)', 'G(6,3,2)' or 'G_24'."""
-        return self.instance(*parse_entry_name(name))
+        return self.instance(*parse_entry_name(name, self))
 
     def degrees_of(self, inst: EntryInstance) -> DegreeMultiset:
         return DegreeMultiset.of(self._row(inst.family).degrees(*inst.params))
@@ -365,14 +368,22 @@ class Catalog:
         Finite and complete: every degree of a fitting instance occurs in the
         target, so the sweeps, which start from the target's distinct degrees,
         yield a superset of the fitting instances, and the fit test, which
-        builds each row's Counter, keeps exactly those.
+        builds each row's Counter, keeps exactly those.  A table of more
+        than MAX_TABLE_ENTRIES degree entries is refused.
         """
         need = DegreeMultiset.of(target).counter()
         out = []
+        entries = 0
         for row in self.families + self.sporadics:
             for params in row.sweep(need):
                 degrees = Counter(row.degrees(*params))
                 if all(need[d] >= c for d, c in degrees.items()):
+                    entries += len(degrees)
+                    if entries > MAX_TABLE_ENTRIES:
+                        raise SizeLimitError(
+                            "the candidate table passed MAX_TABLE_ENTRIES = "
+                            f"{MAX_TABLE_ENTRIES} degree entries"
+                        )
                     inst = EntryInstance(row.ident, params, row.display(params))
                     out.append((inst, degrees))
         out.sort(key=lambda c: c[0].sort_key)
@@ -386,16 +397,14 @@ class Catalog:
         return contains_prime(self.prime_set_of(inst), p)
 
 
-def parse_entry_name(name: str) -> tuple[str, tuple[int, ...]]:
-    """Split a display name into (family identifier, parameters).
-
-    S1 is an alias of S^1; otherwise the display patterns of the built-in
-    rows are matched in turn.
-    """
+def parse_entry_name(name: str, cat: Catalog | None = None) -> tuple[str, tuple[int, ...]]:
+    """Split a display name into (row identifier, parameters).  S1 is an
+    alias of S^1; otherwise the display patterns of the rows of ``cat``,
+    the built-in catalog by default, are matched in turn."""
     text = name.strip()
     if text == "S1":
         return ("S^1", ())
-    for row in _ROWS:
+    for row in (cat or builtin())._rows.values():
         match = row.name_re.fullmatch(text)
         if match:
             shown = [int_of_digits(g, InvalidParametersError) for g in match.groups()]

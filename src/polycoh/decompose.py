@@ -67,9 +67,13 @@ def walk(
     if not counts.keys() <= {d for _, need in table for d in need}:
         return
     degs = sorted(counts, reverse=True)
+    index = {d: i for i, d in enumerate(degs)}
     buckets = [[] for _ in degs]
     for part, need in table:
-        buckets[degs.index(max(need))].append((part, tuple(need[d] for d in degs)))
+        row = [0] * len(degs)
+        for d, c in need.items():
+            row[index[d]] = c
+        buckets[index[max(need)]].append((part, tuple(row)))
 
     # Depth-first over frames (remaining counts, index of the degree branched
     # on, first bucket index allowed, value): an explicit stack, as the depth

@@ -34,9 +34,9 @@ class InvalidParametersError(PolycohError, ValueError):
 
 
 class SizeLimitError(PolycohError, RuntimeError):
-    """A computation would exceed its budget: the elements of a group
-    average, the Pollard-Brent rho steps to factor an integer, the nodes of
-    a decomposition walk, or the degrees of a type."""
+    """A computation would pass a named limit: the order or tally table of a
+    Molien group, the rho steps to factor an integer, the nodes of a
+    decomposition walk, the degrees of a type or its candidate table."""
 
 
 class InternalArithmeticError(PolycohError, RuntimeError):

@@ -22,33 +22,32 @@ integer arithmetic; a verdict carries no tolerance.
 Expansion strategy: each factor 1/(1 - zeta^e t^len) is a geometric series,
 so a group element's series has coefficients that are Z-linear tallies of
 root-of-unity powers.  Those tallies are accumulated unreduced (exactly) in
-the group ring of Z/m.  No group element is built: the n! permutations are
-walked once for their cycle types, and for each type the product is summed
-over the cycle phases one cycle at a time, keyed by the partial phase sum
-mod r (:func:`_tallies`).  The summed tallies are Galois-stable, because
-zeta -> zeta^k (k a unit mod m) permutes G(m, r, n); so each is constant on
-the orbits {u : gcd(u, m) = d}, and is read off as an integer with the
-Moebius function (:func:`_orbit_value`).  A tally that is not constant on
-its orbits, or an average that is not a nonnegative integer, is a bug.
-The group order is capped by a budget and the tally table by
+the group ring of Z/m.  No group element is built: the permutations of
+each cycle type are counted by Cauchy's formula, and for each type the
+product is summed over the cycle phases one cycle at a time, keyed by the
+partial phase sum mod r (:func:`_tallies`).  The summed tallies are
+Galois-stable, because zeta -> zeta^k (k a unit mod m) permutes
+G(m, r, n); so each is constant on the orbits {u : gcd(u, m) = d}, and is
+read off as an integer with the Moebius function (:func:`_orbit_value`).
+A tally that is not constant on its orbits, or an average that is not a
+nonnegative integer, is a bug.
+The group order is capped by MAX_GROUP_ORDER and the tally table by
 MAX_TALLY_CELLS; both refusals raise SizeLimitError before any work.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from operator import add
+from typing import Iterator
 
-from .errors import (
-    InternalArithmeticError,
-    InvalidParametersError,
-    SizeLimitError,
-)
+from .errors import InternalArithmeticError, InvalidParametersError, SizeLimitError
+from .ntheory import prime_factors
 
-DEFAULT_BUDGET = 10**7
+# The most elements a group may have: m^n * n! / r.  As m^n >= r, it also
+# bounds n! and so n <= 10.
+MAX_GROUP_ORDER = 10**7
 
 # The most tally cells one partial-sum level of the Molien pass may hold:
 # r series of order x m integers.
@@ -57,15 +56,8 @@ MAX_TALLY_CELLS = 10**5
 
 def _mobius(n: int) -> int:
     """mu(n): (-1)^k if n is a product of k distinct primes, else 0."""
-    mu, p = 1, 2
-    while n > 1:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-        p += 1
-    return mu
+    primes = prime_factors(n)
+    return (-1) ** len(primes) if math.prod(primes) == n else 0
 
 
 def _orbit_value(tally: list[int], m: int) -> int | None:
@@ -81,22 +73,25 @@ def _orbit_value(tally: list[int], m: int) -> int | None:
     return sum(tally[d % m] * _mobius(m // d) for d in range(1, m + 1) if m % d == 0)
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """A power series truncated to t^0 .. t^(order-1), exact coefficients."""
-
-    order: int
-    coefficients: tuple[int, ...]
-
-    def __getitem__(self, j: int) -> int:
-        return self.coefficients[j]
-
-
 def _validate_group(m: int, r: int, n: int) -> None:
     if m < 1 or n < 1 or r < 1 or m % r:
-        raise InvalidParametersError(
-            f"G(m={m}, r={r}, n={n}) needs m, n >= 1 and r | m"
-        )
+        raise InvalidParametersError(f"G(m={m}, r={r}, n={n}) needs m, n >= 1 and r | m")
+
+
+def _checked_order(m: int, r: int, n: int) -> int:
+    """The order m^n * n! / r of G(m, r, n), refused past MAX_GROUP_ORDER
+    before it is computed: m^n * n! is multiplied up one factor m * i at a
+    time and compared with MAX_GROUP_ORDER * r, so a few steps decide any n."""
+    _validate_group(m, r, n)
+    product = 1
+    for i in range(1, n + 1):
+        product *= m * i
+        if product > MAX_GROUP_ORDER * r:
+            raise SizeLimitError(
+                f"G({m},{r},{n}) has more than MAX_GROUP_ORDER = "
+                f"{MAX_GROUP_ORDER} elements"
+            )
+    return product // r
 
 
 def group_order(m: int, r: int, n: int) -> int:
@@ -104,23 +99,24 @@ def group_order(m: int, r: int, n: int) -> int:
     return m**n * math.factorial(n) // r
 
 
+def _partitions(n: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of n into parts >= smallest, as ascending tuples."""
+    if n == 0:
+        yield ()
+    for part in range(smallest, n + 1):
+        yield from ((part,) + rest for rest in _partitions(n - part, part))
+
+
 def _cycle_types(n: int) -> Counter:
     """How many permutations of n points have each cycle type, the sorted
-    tuple of their cycle lengths; the n! permutations are walked once."""
-    types = Counter()
-    for perm in itertools.permutations(range(n)):
-        seen = [False] * n
-        lengths = []
-        for start in range(n):
-            length, i = 0, start
-            while not seen[i]:
-                seen[i] = True
-                length += 1
-                i = perm[i]
-            if length:
-                lengths.append(length)
-        types[tuple(sorted(lengths))] += 1
-    return types
+    tuple of their cycle lengths: by Cauchy's formula, n! / prod_l
+    (l^a_l * a_l!) for a_l cycles of length l."""
+    return Counter({
+        lengths: math.factorial(n) // math.prod(
+            length**a * math.factorial(a) for length, a in Counter(lengths).items()
+        )
+        for lengths in _partitions(n)
+    })
 
 
 def _add_quotient(
@@ -180,11 +176,9 @@ def _tallies(m: int, r: int, n: int, order: int) -> list[list[int]]:
     return total
 
 
-def molien_series(
-    m: int, r: int, n: int, order: int, budget: int = DEFAULT_BUDGET
-) -> TruncatedSeries:
-    """The graded dimension series of the invariant ring of G(m, r, n),
-    exact up to t^(order-1).
+def molien_series(m: int, r: int, n: int, order: int) -> tuple[int, ...]:
+    """The coefficients of t^0 .. t^(order-1) in the graded dimension series
+    of the invariant ring of G(m, r, n).
 
     Each coefficient's summed tally is verified to be Galois-stable and its
     average a nonnegative integer before returning; anything else raises
@@ -192,11 +186,7 @@ def molien_series(
     """
     if order < 1:
         raise InvalidParametersError(f"truncation order must be >= 1, got {order}")
-    size = group_order(m, r, n)
-    if size > budget:
-        raise SizeLimitError(
-            f"G({m},{r},{n}) has {size} elements, beyond the budget of {budget}"
-        )
+    size = _checked_order(m, r, n)
     cells = order * m * r
     if cells > MAX_TALLY_CELLS:
         raise SizeLimitError(
@@ -217,7 +207,7 @@ def molien_series(
                 f"{value}/{size}, not a nonnegative integer"
             )
         coeffs.append(coeff)
-    return TruncatedSeries(order, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def invariant_degrees(m: int, r: int, n: int) -> tuple[int, ...]:
@@ -231,7 +221,7 @@ def doubled_degrees(m: int, r: int, n: int) -> tuple[int, ...]:
     return tuple(2 * d for d in invariant_degrees(m, r, n))
 
 
-def verify_degrees(m: int, r: int, n: int, budget: int = DEFAULT_BUDGET) -> bool:
+def verify_degrees(m: int, r: int, n: int) -> bool:
     """Check the claimed degrees against the group-average series.
 
     True iff  molien_series  equals  prod_i 1 / (1 - t^{d_i})  exactly up to
@@ -241,12 +231,11 @@ def verify_degrees(m: int, r: int, n: int, budget: int = DEFAULT_BUDGET) -> bool
     true series first disagree no later than the degree of
     prod (1 - t^{d_i}) itself, which the window covers in full.
     """
+    _checked_order(m, r, n)
     degs = invariant_degrees(m, r, n)
     order = 1 + sum(degs)
-    series = molien_series(m, r, n, order, budget)
-
     closed = [1] + [0] * (order - 1)
     for d in degs:
         for j in range(d, order):
             closed[j] += closed[j - d]
-    return series.coefficients == tuple(closed)
+    return molien_series(m, r, n, order) == tuple(closed)

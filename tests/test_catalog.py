@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import polycoh.catalog as catalog_mod
 from polycoh.catalog import (
     MAX_DEGREES,
     DegreeMultiset,
@@ -337,6 +338,17 @@ def test_candidates_rejects_invalid_targets(cat):
         cat.candidates([3])
 
 
+def test_candidate_table_is_bounded(cat, monkeypatch):
+    # Sp(3) fits 10 rows with 17 degree entries in all
+    target = [4, 8, 12]
+    assert sum(len(need) for _, need in cat.candidate_table(target)) == 17
+    monkeypatch.setattr(catalog_mod, "MAX_TABLE_ENTRIES", 17)
+    assert len(cat.candidate_table(target)) == 10
+    monkeypatch.setattr(catalog_mod, "MAX_TABLE_ENTRIES", 16)
+    with pytest.raises(SizeLimitError, match="MAX_TABLE_ENTRIES = 16"):
+        cat.candidate_table(target)
+
+
 # ---------------------------------------------------------------- JSON round trip
 
 
@@ -355,6 +367,20 @@ def test_import_sporadic_only_catalog(cat):
     doc["families"] = []
     small = import_json(json.dumps(doc))
     assert [i.name for i in small.candidates([16, 24])] == ["G_8"]
+
+
+def test_lookup_names_an_imported_catalogs_own_rows(cat):
+    renamed = import_json(export_json(cat).replace('"G_8"', '"X_8"'))
+    inst = renamed.lookup("X_8")
+    assert inst == renamed.instance("X_8")
+    assert renamed.degrees_of(inst).degrees == (16, 24)
+    assert renamed.occurs_at(inst, 5) and not renamed.occurs_at(inst, 7)
+    assert renamed.lookup("SU(3)") == cat.lookup("SU(3)")
+    with pytest.raises(InvalidParametersError, match="unrecognized"):
+        renamed.lookup("G_8")
+    with pytest.raises(InvalidParametersError, match="unrecognized"):
+        cat.lookup("X_8")
+    assert parse_entry_name("X_8", renamed) == ("X_8", ())
 
 
 def test_import_rejects_odd_degree(cat):

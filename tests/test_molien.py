@@ -15,6 +15,7 @@ from polycoh.errors import (
 )
 from polycoh.cli import _molien_sweep
 from polycoh.molien import (
+    MAX_GROUP_ORDER,
     MAX_TALLY_CELLS,
     _cycle_types,
     _orbit_value,
@@ -57,15 +58,10 @@ def brute_shape_counts(m, r, n):
     return shapes
 
 
-# The per-shape sum the partial-sum pass replaced: the elements of each
-# cycle shape are counted, each shape's series is built on its own, and the
-# series are added weighted by their counts.
-
-
-def shape_counts(m, r, n):
-    """How many elements of G(m, r, n) have each cycle shape: a permutation
-    with k cycles and given cycle sums carries m^(n-k) phase vectors."""
-    cycle_types = Counter()
+def walked_cycle_types(n):
+    """The cycle types Cauchy's formula replaced: all n! permutations are
+    walked and each one's sorted cycle lengths are counted."""
+    types = Counter()
     for perm in itertools.permutations(range(n)):
         seen = [False] * n
         lengths = []
@@ -77,9 +73,20 @@ def shape_counts(m, r, n):
                 i = perm[i]
             if length:
                 lengths.append(length)
-        cycle_types[tuple(sorted(lengths))] += 1
+        types[tuple(sorted(lengths))] += 1
+    return types
+
+
+# The per-shape sum the partial-sum pass replaced: the elements of each
+# cycle shape are counted, each shape's series is built on its own, and the
+# series are added weighted by their counts.
+
+
+def shape_counts(m, r, n):
+    """How many elements of G(m, r, n) have each cycle shape: a permutation
+    with k cycles and given cycle sums carries m^(n-k) phase vectors."""
     shapes = Counter()
-    for lengths, perms in cycle_types.items():
+    for lengths, perms in walked_cycle_types(n).items():
         weight = perms * m ** (n - len(lengths))
         for sums in itertools.product(range(m), repeat=len(lengths)):
             if sum(sums) % r == 0:
@@ -142,7 +149,7 @@ def test_t0_tally_is_the_group_order():
 
 
 def test_group_budget_and_validation():
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match=f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"):
         molien_series(100, 1, 5, 1)
     with pytest.raises(InvalidParametersError):
         molien_series(6, 4, 2, 1)  # r does not divide m
@@ -160,6 +167,30 @@ def test_group_order_validates_its_group():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: molien_series(2, 1, 10**5, 1),
+        lambda: molien_series(2, 1, 10**6, 1),
+        lambda: verify_degrees(2, 1, 10**6),
+    ],
+)
+def test_group_order_is_bounded_before_it_is_computed(call):
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=f"MAX_GROUP_ORDER = {MAX_GROUP_ORDER}"):
+        call()
+    assert time.perf_counter() - start < 1
+
+
+def test_group_order_limit_is_inclusive():
+    # a group of up to MAX_GROUP_ORDER elements fits, one more does not
+    for m, r, n in ((1, 1, 10), (5, 5, 4), (10**7, 1, 1), (2 * 10**7, 2, 1)):
+        assert molien_mod._checked_order(m, r, n) == group_order(m, r, n)
+    for m, r, n in ((1, 1, 11), (100, 1, 5), (10**7 + 1, 1, 1)):
+        with pytest.raises(SizeLimitError):
+            molien_mod._checked_order(m, r, n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: molien_series(2, 1, 1, 10**9),
         lambda: verify_degrees(30000, 1, 1),
         lambda: verify_degrees(3000, 1, 1),
@@ -169,6 +200,12 @@ def test_tally_table_is_bounded(call):
     start = time.perf_counter()
     with pytest.raises(SizeLimitError, match=f"MAX_TALLY_CELLS = {MAX_TALLY_CELLS}"):
         call()
+    assert time.perf_counter() - start < 1
+
+
+def test_symmetric_group_on_ten_points_verifies_at_once():
+    start = time.perf_counter()
+    assert verify_degrees(1, 1, 10)
     assert time.perf_counter() - start < 1
 
 
@@ -196,6 +233,15 @@ def test_membership_constraint_enforced():
 # vectors, and the cycle factor of each cycle is 1 - zeta^e t^length.
 
 
+def test_cycle_types_equal_the_permutation_walk():
+    for n in range(1, 9):
+        types = _cycle_types(n)
+        assert types == walked_cycle_types(n), n
+        assert sum(types.values()) == math.factorial(n)
+    # the partitions of 10, at most 42 types for any admitted group
+    assert len(_cycle_types(10)) == 42
+
+
 def test_cycle_factors_identity():
     # only the identity: three fixed points, each with phase 0
     assert _cycle_types(3)[(1, 1, 1)] == 1
@@ -218,18 +264,16 @@ def test_cycle_factors_transposition():
 
 
 def test_molien_symmetric_group_two_variables():
-    series = molien_series(1, 1, 2, 5)
-    assert series.coefficients == (1, 1, 2, 2, 3)
+    assert molien_series(1, 1, 2, 5) == (1, 1, 2, 2, 3)
 
 
 def test_molien_cyclic_group_one_variable():
-    series = molien_series(3, 1, 1, 7)
-    assert series.coefficients == (1, 0, 0, 1, 0, 0, 1)
+    assert molien_series(3, 1, 1, 7) == (1, 0, 0, 1, 0, 0, 1)
 
 
 def test_molien_constant_term_is_one():
     for m, r, n in ((1, 1, 1), (4, 2, 2), (6, 3, 2), (5, 5, 2)):
-        assert molien_series(m, r, n, 3).coefficients[0] == 1
+        assert molien_series(m, r, n, 3)[0] == 1
 
 
 def test_molien_matches_closed_form_product():
@@ -243,7 +287,7 @@ def test_molien_matches_closed_form_product():
     for d in degs:
         for j in range(d, order):
             closed[j] += closed[j - d]
-    assert list(series.coefficients) == closed
+    assert list(series) == closed
 
 
 def test_invariant_degrees_formula():
