@@ -393,6 +393,28 @@ class Catalog:
         """The instances of :meth:`candidate_table`."""
         return [inst for inst, _ in self.candidate_table(target)]
 
+    def to_json_dict(self) -> dict:
+        """The JSON document: sporadics explicitly, families symbolically."""
+        return {
+            "sporadics": [
+                {
+                    "name": sp.ident,
+                    "degrees": list(sp.degrees()),
+                    "primes": as_json_dict(sp.primes()),
+                }
+                for sp in self.sporadics
+            ],
+            "families": [
+                {
+                    "name": f.ident,
+                    "constraints": f.constraints,
+                    "degreeFormula": f.degree_formula,
+                    "primeCondition": f.prime_condition,
+                }
+                for f in self.families
+            ],
+        }
+
     def occurs_at(self, inst: EntryInstance, p: int) -> bool:
         return contains_prime(self.prime_set_of(inst), p)
 
@@ -435,27 +457,8 @@ def candidates(cat: Catalog, target) -> list[EntryInstance]:
 
 
 def export_json(cat: Catalog) -> str:
-    """Serialize a catalog: sporadics explicitly, families symbolically."""
-    doc = {
-        "sporadics": [
-            {
-                "name": sp.ident,
-                "degrees": list(sp.degrees()),
-                "primes": as_json_dict(sp.primes()),
-            }
-            for sp in cat.sporadics
-        ],
-        "families": [
-            {
-                "name": f.ident,
-                "constraints": f.constraints,
-                "degreeFormula": f.degree_formula,
-                "primeCondition": f.prime_condition,
-            }
-            for f in cat.families
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """Serialize a catalog: its :meth:`Catalog.to_json_dict` document."""
+    return json.dumps(cat.to_json_dict(), indent=2, sort_keys=True)
 
 
 def import_json(text: str) -> Catalog:
@@ -463,7 +466,8 @@ def import_json(text: str) -> Catalog:
 
     Families are symbolic references resolved against the built-in
     definitions; their documentation strings must match exactly, so a
-    round trip is the identity.
+    round trip is the identity.  Each sporadic's name must be read back by
+    :meth:`Catalog.lookup` as that row.
     """
     try:
         doc = json.loads(text)
@@ -523,4 +527,12 @@ def import_json(text: str) -> Catalog:
             raise CatalogError(f"sporadic {name!r}: malformed prime set")
         sporadics.append(_sporadic(name, degrees, normalize(make(mod, res))))
 
-    return Catalog(families=tuple(families), sporadics=tuple(sporadics))
+    cat = Catalog(families=tuple(families), sporadics=tuple(sporadics))
+    for sp in cat.sporadics:
+        try:
+            found = cat.lookup(sp.ident).family
+        except InvalidParametersError:
+            found = None
+        if found != sp.ident:
+            raise CatalogError(f"sporadic {sp.ident!r}: lookup of its name misses the row")
+    return cat

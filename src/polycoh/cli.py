@@ -5,9 +5,12 @@ answer), witness (a decomposition at one prime), decompose (all of them),
 catalog (table dump), verify (brute-force cross-check suites), and
 molien-verify (invariant-theory sweep over the monomial families).
 
-The process exit status is 0 whenever evaluation succeeded, regardless of
-the mathematical verdict; nonzero means bad input or an internal error.
-JSON output is byte-stable for fixed inputs.
+Each subcommand's answer is one document: its ``_cmd_*`` function returns
+the JSON object and the text lines that render it, and :func:`main` alone
+prints one of the two, as ``--format`` asks.  The process exit status is 0
+whenever evaluation succeeded, regardless of the mathematical verdict;
+nonzero means bad input or an internal error.  JSON output is byte-stable
+for fixed inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import time
 from contextlib import nullcontext
 
 from . import __version__
-from .catalog import Catalog, DegreeMultiset, builtin, export_json
+from .catalog import Catalog, DegreeMultiset, builtin
 from .decompose import decompose, decompose_at_prime
 from .errors import InvalidTypeError, PolycohError, RingSpecError
 from .molien import doubled_degrees, group_order, verify_degrees
@@ -118,122 +121,88 @@ def parse_degrees(text: str, cat: Catalog) -> DegreeMultiset:
     return DegreeMultiset.of(degrees())
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _cmd_check(args, cat: Catalog) -> int:
+def _cmd_check(args, cat: Catalog):
     target = parse_degrees(args.degrees, cat)
     spec = parse_ring(args.ring)
     report = realizable_over(cat, target, spec)
-    if args.format == "json":
-        _emit_json(report.to_json_dict())
-        return 0
-    print(f"degrees: {', '.join(map(str, target)) or '(none)'}")
-    print(f"ring primes: {spec.describe()}")
-    print(f"verdict: {'realizable' if report.verdict else 'not realizable'}")
     ps = as_json_dict(report.prime_set)
-    print(f"occurrence classes: N={ps['modulus']}, residues={ps['residues']}")
+    lines = [
+        f"degrees: {', '.join(map(str, target)) or '(none)'}",
+        f"ring primes: {spec.describe()}",
+        f"verdict: {'realizable' if report.verdict else 'not realizable'}",
+        f"occurrence classes: N={ps['modulus']}, residues={ps['residues']}",
+    ]
     for p, dec in sorted(report.witnesses.items()):
-        print(f"witness at p={p}: {' + '.join(dec.names) or '(empty product)'}")
+        lines.append(f"witness at p={p}: {dec}")
     if report.failing_prime is not None:
-        print(f"failing prime: {report.failing_prime}")
+        lines.append(f"failing prime: {report.failing_prime}")
     if report.failing_class is not None:
         a, n = report.failing_class
-        print(f"failing class: {a} mod {n}")
-    return 0
+        lines.append(f"failing class: {a} mod {n}")
+    return report.to_json_dict(), lines
 
 
-def _cmd_primes(args, cat: Catalog) -> int:
+def _cmd_primes(args, cat: Catalog):
     target = parse_degrees(args.degrees, cat)
     modulus, residues = congruence_classes(cat, target)
-    if args.format == "json":
-        _emit_json(
-            {
-                "degrees": list(target.degrees),
-                "modulus": modulus,
-                "residues": residues,
-            }
-        )
-        return 0
-    print(f"N={modulus}, residues={residues}")
-    return 0
+    doc = {
+        "degrees": list(target.degrees),
+        "modulus": modulus,
+        "residues": residues,
+    }
+    return doc, [f"N={modulus}, residues={residues}"]
 
 
-def _cmd_witness(args, cat: Catalog) -> int:
+def _cmd_witness(args, cat: Catalog):
     target = parse_degrees(args.degrees, cat)
     ok, dec = realizable_at_prime(cat, target, args.prime)
-    if args.format == "json":
-        doc = {
-            "degrees": list(target.degrees),
-            "prime": args.prime,
-            "realizable": ok,
-        }
-        if ok:
-            doc["witness"] = list(dec.names)
-        _emit_json(doc)
-        return 0
-    if ok:
-        print(f"p={args.prime}: {' + '.join(dec.names) or '(empty product)'}")
-    else:
-        print(f"not realizable at p={args.prime}")
-    return 0
+    doc = {
+        "degrees": list(target.degrees),
+        "prime": args.prime,
+        "realizable": ok,
+    }
+    if not ok:
+        return doc, [f"not realizable at p={args.prime}"]
+    doc["witness"] = list(dec.names)
+    return doc, [f"p={args.prime}: {dec}"]
 
 
-def _cmd_decompose(args, cat: Catalog) -> int:
+def _cmd_decompose(args, cat: Catalog):
     target = parse_degrees(args.degrees, cat)
     if args.prime is not None:
         decs = decompose_at_prime(cat, target, args.prime)
     else:
         decs = decompose(cat, target)
-    if args.format == "json":
-        doc = {
-            "degrees": list(target.degrees),
-            "decompositions": [list(d.names) for d in decs],
-        }
-        if args.prime is not None:
-            doc["prime"] = args.prime
-        _emit_json(doc)
-        return 0
-    if not decs:
-        print("no decompositions")
-    for d in decs:
-        print(" + ".join(d.names) or "(empty product)")
-    return 0
+    doc = {
+        "degrees": list(target.degrees),
+        "decompositions": [list(d.names) for d in decs],
+    }
+    if args.prime is not None:
+        doc["prime"] = args.prime
+    return doc, [str(d) for d in decs] or ["no decompositions"]
 
 
-def _cmd_catalog(args, cat: Catalog) -> int:
-    if args.format == "json":
-        print(export_json(cat))
-        return 0
+def _cmd_catalog(args, cat: Catalog):
+    lines = []
     for section in ("families", "sporadics"):
-        print(f"{section}:")
+        lines.append(f"{section}:")
         for row in getattr(cat, section):
             cond = f"; conditions {row.constraints}" if row.constraints else ""
-            print(
+            lines.append(
                 f"  {row.ident}: degrees {row.degree_formula}{cond};"
                 f" occurs for {row.prime_condition}"
             )
-    return 0
+    return cat.to_json_dict(), lines
 
 
-def _cmd_verify(args, cat: Catalog) -> int:
+def _cmd_verify(args, cat: Catalog):
     integral = check_integral_realizability(cat, args.max_degree, args.max_count)
     p3 = check_p3_realizability(cat, args.max_degree, min(args.max_count, 3))
-    if args.format == "json":
-        _emit_json(
-            {
-                "integral": {
-                    "checked": integral.checked,
-                    "mismatches": integral.mismatches,
-                },
-                "p3": {"checked": p3.checked, "mismatches": p3.mismatches},
-            }
-        )
-        return 0
-    print(integral.summary())
-    print(p3.summary())
-    return 0
+    doc = {
+        name: {"checked": suite.checked, "mismatches": suite.mismatches}
+        for name, suite in (("integral", integral), ("p3", p3))
+    }
+    return doc, [integral.summary(), p3.summary()]
 
 
 def _molien_sweep() -> list[tuple[int, int, int]]:
@@ -250,7 +219,7 @@ def _molien_sweep() -> list[tuple[int, int, int]]:
     return runs
 
 
-def _cmd_molien_verify(args, cat: Catalog) -> int:
+def _cmd_molien_verify(args, cat: Catalog):
     # The CSV file is opened first, so a path that cannot be written fails
     # before the sweep runs.
     try:
@@ -273,31 +242,26 @@ def _cmd_molien_verify(args, cat: Catalog) -> int:
                     [m, r, n, " ".join(map(str, degrees)), ok, f"{elapsed:.4f}"]
                 )
     failures = sum(not row[4] for row in rows)
-    if args.format == "json":
-        _emit_json(
+    doc = {
+        "runs": [
             {
-                "runs": [
-                    {
-                        "m": m,
-                        "r": r,
-                        "n": n,
-                        "degrees": list(degrees),
-                        "verdict": ok,
-                    }
-                    for m, r, n, degrees, ok, _ in rows
-                ],
-                "failures": failures,
+                "m": m,
+                "r": r,
+                "n": n,
+                "degrees": list(degrees),
+                "verdict": ok,
             }
-        )
-        return 0
-    for m, r, n, degrees, ok, elapsed in rows:
-        status = "ok" if ok else "MISMATCH"
-        print(
-            f"G({m},{r},{n}) order {group_order(m, r, n)}: degrees "
-            f"{list(degrees)} {status} ({elapsed:.3f}s)"
-        )
-    print(f"{len(rows)} groups checked, {failures} mismatches")
-    return 0
+            for m, r, n, degrees, ok, _ in rows
+        ],
+        "failures": failures,
+    }
+    lines = [
+        f"G({m},{r},{n}) order {group_order(m, r, n)}: degrees "
+        f"{list(degrees)} {'ok' if ok else 'MISMATCH'} ({elapsed:.3f}s)"
+        for m, r, n, degrees, ok, elapsed in rows
+    ]
+    lines.append(f"{len(rows)} groups checked, {failures} mismatches")
+    return doc, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, degrees=True, fmt=True):
+    def add_common(p, degrees=True):
         if degrees:
             p.add_argument(
                 "--degrees",
@@ -319,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma list of even degrees and/or entry names joined "
                 "by '+', e.g. '4,6' or 'SU(5)+Sp(2)'",
             )
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("check", help="realizability verdict over a ring")
     add_common(p)
@@ -371,9 +334,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     cat = builtin()
     try:
-        code = args.func(args, cat)
+        doc, lines = args.func(args, cat)
+        if args.format == "json":
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            print("\n".join(lines))
         sys.stdout.flush()
-        return code
+        return 0
     except PolycohError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -42,8 +42,8 @@ class Decomposition:
     def sort_key(self) -> tuple:
         return (len(self.parts), tuple(p.sort_key for p in self.parts))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "Decomposition(" + " + ".join(self.names) + ")" if self.parts else "Decomposition(empty)"
+    def __str__(self) -> str:
+        return " + ".join(self.names) or "(empty product)"
 
 
 def walk(

@@ -31,8 +31,9 @@ G(m, r, n); so each is constant on the orbits {u : gcd(u, m) = d}, and is
 read off as an integer with the Moebius function (:func:`_orbit_value`).
 A tally that is not constant on its orbits, or an average that is not a
 nonnegative integer, is a bug.
-The group order is capped by MAX_GROUP_ORDER and the tally table by
-MAX_TALLY_CELLS; both refusals raise SizeLimitError before any work.
+The group order is capped by MAX_GROUP_ORDER, the tally table by
+MAX_TALLY_CELLS and the cells the pass adds up by MAX_MOLIEN_WORK; each
+refusal raises SizeLimitError before any work.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ MAX_GROUP_ORDER = 10**7
 # The most tally cells one partial-sum level of the Molien pass may hold:
 # r series of order x m integers.
 MAX_TALLY_CELLS = 10**5
+
+# The most tally cells the Molien pass may add up, a bound on its time: at
+# about 10^7 cells per second, one second.
+MAX_MOLIEN_WORK = 10**7
 
 
 def _mobius(n: int) -> int:
@@ -154,9 +159,19 @@ def _tallies(m: int, r: int, n: int, order: int) -> list[list[int]]:
     s + e = 0 (mod r) are run, and state[0] is the type's sum.  The first
     cycle starts from the series 1, whose quotient by 1 - zeta^e t^len is
     written sparsely: zeta^(e*i) in row i*len.
+
+    A type of k >= 2 cycles runs m + (k - 2) * r * m quotients of order x m
+    cells each; their sum over the types is refused past MAX_MOLIEN_WORK.
     """
+    types = _cycle_types(n)
+    work = order * m * sum(m + (len(t) - 2) * r * m for t in types if len(t) > 1)
+    if work > MAX_MOLIEN_WORK:
+        raise SizeLimitError(
+            f"G({m},{r},{n}) to order {order} adds up {work} tally cells, "
+            f"beyond MAX_MOLIEN_WORK = {MAX_MOLIEN_WORK}"
+        )
     total = [[0] * m for _ in range(order)]
-    for lengths, perms in _cycle_types(n).items():
+    for lengths, perms in types.items():
         state = {0: None}  # None is the series 1, before the first cycle
         for index, length in enumerate(lengths):
             last = index == len(lengths) - 1

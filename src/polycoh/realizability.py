@@ -252,9 +252,12 @@ def _first_prime(
     """Smallest prime of ``s`` below ``bound`` that passes ``keep``, or None.
 
     One ascending walk over the primes, tested against ``s`` inline and
-    against ``keep`` only once they lie in ``s``.  Without a bound the
-    caller must know that such a prime exists.
+    against ``keep`` only once they lie in ``s``; a set of no classes is
+    not walked.  Without a bound the caller must know that such a prime
+    exists.
     """
+    if not s.residues:
+        return None
     primes = filter(is_prime, count(2)) if bound is None else primes_below(bound)
     m, residues = s.modulus, s.residues
     for p in primes:

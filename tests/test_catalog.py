@@ -434,6 +434,17 @@ def test_import_rejects_a_sporadic_named_like_a_family(cat):
                 import_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("name", ["SU(3)", "S1", "Spin(7)"])
+def test_import_rejects_a_sporadic_its_name_does_not_reach(cat, name):
+    # lookup reads SU(3) as the SU family's instance and S1 as the alias of
+    # S^1, and refuses Spin(7), as Spin shows 2n: none reaches the row.
+    doc = json.loads(export_json(cat))
+    row = {"name": name, "degrees": [4, 8], "primes": {"modulus": 5, "residues": [1]}}
+    doc["sporadics"].append(row)
+    with pytest.raises(CatalogError, match=re.escape(repr(name))):
+        import_json(json.dumps(doc))
+
+
 def test_import_rejects_two_sporadics_of_one_name(cat):
     doc = json.loads(export_json(cat))
     name = doc["sporadics"][0]["name"]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import polycoh
-from polycoh.cli import main, parse_degrees, parse_ring
+from polycoh.cli import build_parser, main, parse_degrees, parse_ring
 from polycoh.catalog import MAX_DEGREES, builtin
 from polycoh.errors import NotAPrimeError, RingSpecError, SizeLimitError
 from polycoh.ntheory import RHO_STEPS
@@ -126,6 +126,17 @@ def test_a_listable_ring_of_no_primes_is_described_and_decided_like_q(capsys):
     assert docs[0]["verdict"] is True and docs[0]["witnesses"] == {}
 
 
+def test_a_ring_of_no_primes_walks_no_sieve(capsys, monkeypatch):
+    def never(bound):
+        raise AssertionError("the primes were walked for a set of no classes")
+
+    monkeypatch.setattr("polycoh.realizability.primes_below", never)
+    argv = ("check", "--degrees", "4,6", "--ring", "primes=mod:6:0", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] is True and doc["witnesses"] == {}
+
+
 def test_json_output_is_byte_stable(capsys):
     args = ("check", "--degrees", "12,16", "--ring", "F_3", "--format", "json")
     _, first, _ = run_cli(capsys, *args)
@@ -171,6 +182,23 @@ def test_decompose_command(capsys):
         capsys, "decompose", "--degrees", "4,12", "--prime", "3"
     )
     assert out.splitlines() == ["G_2"]
+
+
+def test_subcommands_return_their_answer_and_print_nothing(capsys):
+    for argv in (
+        ["check", "--degrees", "4,12", "--ring", "primes=mod:100003:1"],
+        ["primes", "--degrees", "4,12"],
+        ["witness", "--degrees", "4,12", "--prime", "2"],
+        ["decompose", "--degrees", "4,12", "--prime", "5"],
+        ["catalog"],
+        ["verify", "--max-degree", "10", "--max-count", "2"],
+        ["molien-verify"],
+    ):
+        args = build_parser().parse_args(argv)
+        doc, lines = args.func(args, builtin())
+        assert capsys.readouterr().out == "", argv
+        assert json.loads(json.dumps(doc)) == doc, argv
+        assert lines and all(isinstance(line, str) for line in lines), argv
 
 
 def test_a_closed_stdout_ends_the_listing_quietly():

@@ -16,6 +16,7 @@ from polycoh.errors import (
 from polycoh.cli import _molien_sweep
 from polycoh.molien import (
     MAX_GROUP_ORDER,
+    MAX_MOLIEN_WORK,
     MAX_TALLY_CELLS,
     _cycle_types,
     _orbit_value,
@@ -201,6 +202,34 @@ def test_tally_table_is_bounded(call):
     with pytest.raises(SizeLimitError, match=f"MAX_TALLY_CELLS = {MAX_TALLY_CELLS}"):
         call()
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("call", [(1000, 1, 2, 100), (2236, 1, 2, 44)])
+def test_molien_work_is_bounded(call):
+    # both fit MAX_TALLY_CELLS, and took 10 s and 20 s unbounded
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match=f"MAX_MOLIEN_WORK = {MAX_MOLIEN_WORK}"):
+        molien_series(*call)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_molien_work_counts_the_cells_the_pass_adds_and_is_inclusive(monkeypatch):
+    cells = 0
+    add_quotient = molien_mod._add_quotient
+
+    def counted(target, series, e, length):
+        nonlocal cells
+        cells += len(series) * len(target[0])
+        add_quotient(target, series, e, length)
+
+    monkeypatch.setattr(molien_mod, "_add_quotient", counted)
+    want = molien_series(6, 3, 4, 30)
+    work = cells
+    monkeypatch.setattr(molien_mod, "MAX_MOLIEN_WORK", work)
+    assert molien_series(6, 3, 4, 30) == want
+    monkeypatch.setattr(molien_mod, "MAX_MOLIEN_WORK", work - 1)
+    with pytest.raises(SizeLimitError, match=f"adds up {work} tally cells"):
+        molien_series(6, 3, 4, 30)
 
 
 def test_symmetric_group_on_ten_points_verifies_at_once():
