@@ -15,12 +15,9 @@ from .catalog import (
     DegreeMultiset,
     EntryInstance,
     builtin,
-    candidates,
-    degrees_of,
     export_json,
     import_json,
     parse_entry_name,
-    prime_set_of,
 )
 from .decompose import Decomposition, decompose, decompose_at_prime
 from .errors import (

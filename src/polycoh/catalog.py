@@ -444,18 +444,6 @@ def builtin() -> Catalog:
     return Catalog(families=_FAMILIES, sporadics=_SPORADICS)
 
 
-def degrees_of(inst: EntryInstance, cat: Catalog | None = None) -> DegreeMultiset:
-    return (cat or builtin()).degrees_of(inst)
-
-
-def prime_set_of(inst: EntryInstance, cat: Catalog | None = None) -> ResidueSet:
-    return (cat or builtin()).prime_set_of(inst)
-
-
-def candidates(cat: Catalog, target) -> list[EntryInstance]:
-    return cat.candidates(target)
-
-
 def export_json(cat: Catalog) -> str:
     """Serialize a catalog: its :meth:`Catalog.to_json_dict` document."""
     return json.dumps(cat.to_json_dict(), indent=2, sort_keys=True)

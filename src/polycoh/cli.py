@@ -11,6 +11,13 @@ prints one of the two, as ``--format`` asks.  The process exit status is 0
 whenever evaluation succeeded, regardless of the mathematical verdict;
 nonzero means bad input or an internal error.  JSON output is byte-stable
 for fixed inputs.
+
+Every number a user writes, in a ring, a degree list, an entry name or an
+option, is read by :func:`~polycoh.ntheory.int_of_digits`: ASCII digits,
+spaces around them allowed, and nothing else.  A ring's primes are checked
+once, by :class:`PrimeSpec`.  The grammar declares ``--degrees`` and
+``--format`` once each, in parent parsers, and :func:`build_parser` builds
+it once per process.
 """
 
 from __future__ import annotations
@@ -23,13 +30,14 @@ import re
 import sys
 import time
 from contextlib import nullcontext
+from functools import cache
 
 from . import __version__
 from .catalog import Catalog, DegreeMultiset, builtin
 from .decompose import decompose, decompose_at_prime
-from .errors import InvalidTypeError, PolycohError, RingSpecError
+from .errors import InvalidTypeError, NotAPrimeError, PolycohError, RingSpecError
 from .molien import doubled_degrees, group_order, verify_degrees
-from .ntheory import divisors, int_of_digits, is_prime, prime_factors
+from .ntheory import divisors, int_of_digits, prime_factors
 from .realizability import (
     PrimeSpec,
     congruence_classes,
@@ -46,52 +54,45 @@ def parse_ring(text: str) -> PrimeSpec:
     Accepted forms: "Z" (all primes), "Q" (none), "F_p" (just p),
     "Z[1/a,1/b,...]" (all primes not dividing the inverted integers),
     "primes=2,5" (an explicit list), and "primes=mod:N:a1,a2" (the primes
-    in the given residue classes).
+    in the given residue classes).  Each number is read by
+    :func:`int_of_digits` and each prime checked by :class:`PrimeSpec`.
     """
     t = text.strip()
-    if t == "Z":
-        return PrimeSpec.all_primes()
-    if t == "Q":
-        return PrimeSpec.finite(())
-    m = re.fullmatch(r"F_(\d+)", t)
-    if m:
-        p = int_of_digits(m.group(1), RingSpecError)
-        if not is_prime(p):
-            raise RingSpecError(f"F_{p}: {p} is not prime")
-        return PrimeSpec.finite((p,))
-    m = re.fullmatch(r"Z\[(.*)\]", t)
-    if m:
-        excluded: set[int] = set()
-        for piece in m.group(1).split(","):
-            piece = piece.strip()
-            mm = re.fullmatch(r"1/(\d+)", piece)
-            if not mm:
-                raise RingSpecError(f"cannot parse inverted element {piece!r}")
-            k = int_of_digits(mm.group(1), RingSpecError)
-            if k == 0:
-                raise RingSpecError("cannot invert 0")
-            excluded.update(prime_factors(k))
-        return PrimeSpec.cofinite(sorted(excluded))
-    if t.startswith("primes="):
-        rest = t[len("primes=") :]
-        if rest.startswith("mod:"):
-            parts = rest[len("mod:") :].split(":")
+    try:
+        if t == "Z":
+            return PrimeSpec.all_primes()
+        if t == "Q":
+            return PrimeSpec.finite(())
+        m = re.fullmatch(r"F_(.+)", t)
+        if m:
+            return PrimeSpec.finite((int_of_digits(m.group(1), RingSpecError),))
+        m = re.fullmatch(r"Z\[(.*)\]", t)
+        if m:
+            excluded: set[int] = set()
+            for piece in m.group(1).split(","):
+                piece = piece.strip()
+                mm = re.fullmatch(r"1/(.+)", piece)
+                if not mm:
+                    raise RingSpecError(f"cannot parse inverted element {piece!r}")
+                k = int_of_digits(mm.group(1), RingSpecError)
+                if k == 0:
+                    raise RingSpecError("cannot invert 0")
+                excluded.update(prime_factors(k))
+            return PrimeSpec.cofinite(sorted(excluded))
+        if t.startswith("primes=mod:"):
+            parts = t[len("primes=mod:") :].split(":")
             if len(parts) != 2:
                 raise RingSpecError(f"expected primes=mod:N:a1,a2,..., got {text!r}")
-            try:
-                modulus = int(parts[0])
-                residues = [int(x) for x in parts[1].split(",")]
-            except ValueError:
-                raise RingSpecError(f"bad residue class numbers in {text!r}") from None
-            return PrimeSpec.listable(make(modulus, residues))
-        try:
-            listed = [int(x) for x in rest.split(",")]
-        except ValueError:
-            raise RingSpecError(f"bad prime list in {text!r}") from None
-        for p in listed:
-            if not is_prime(p):
-                raise RingSpecError(f"{p} in the prime list is not prime")
-        return PrimeSpec.finite(listed)
+            modulus, residues = parts
+            return PrimeSpec.listable(make(
+                int_of_digits(modulus, RingSpecError),
+                [int_of_digits(a, RingSpecError) for a in residues.split(",")],
+            ))
+        if t.startswith("primes="):
+            listed = t[len("primes=") :].split(",")
+            return PrimeSpec.finite(int_of_digits(p, RingSpecError) for p in listed)
+    except NotAPrimeError as exc:
+        raise RingSpecError(str(exc)) from None
     raise RingSpecError(f"cannot parse ring description {text!r}")
 
 
@@ -106,15 +107,8 @@ def parse_degrees(text: str, cat: Catalog) -> DegreeMultiset:
         for token in text.split("+"):
             token = token.strip()
             if re.fullmatch(r"[\d\s,]+", token):
-                nums = []
                 for piece in filter(None, map(str.strip, token.split(","))):
-                    if not piece.isdecimal():
-                        raise InvalidTypeError(
-                            f"cannot read {piece!r} as a degree: "
-                            "separate degrees by commas"
-                        )
-                    nums.append(int_of_digits(piece, InvalidTypeError))
-                yield from nums
+                    yield int_of_digits(piece, InvalidTypeError)
             else:
                 yield from cat.degrees_of(cat.lookup(token))
 
@@ -264,7 +258,14 @@ def _cmd_molien_verify(args, cat: Catalog):
     return doc, lines
 
 
+def _number(text: str) -> int:
+    """The argparse type of a numeric option: :func:`int_of_digits`."""
+    return int_of_digits(text, argparse.ArgumentTypeError)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole grammar, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="polycoh",
         description=(
@@ -275,56 +276,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, degrees=True):
-        if degrees:
-            p.add_argument(
-                "--degrees",
-                required=True,
-                help="comma list of even degrees and/or entry names joined "
-                "by '+', e.g. '4,6' or 'SU(5)+Sp(2)'",
-            )
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    degrees = argparse.ArgumentParser(add_help=False)
+    degrees.add_argument(
+        "--degrees",
+        required=True,
+        help="comma list of even degrees and/or entry names joined "
+        "by '+', e.g. '4,6' or 'SU(5)+Sp(2)'",
+    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("check", help="realizability verdict over a ring")
-    add_common(p)
+    def command(func, name, summary, parents=(degrees, fmt)):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(_cmd_check, "check", "realizability verdict over a ring")
     p.add_argument(
         "--ring",
         required=True,
         help="coefficient ring: Z, Q, F_p, Z[1/a,...], primes=..., "
         "or primes=mod:N:a1,a2",
     )
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("primes", help="congruence classes of usable primes")
-    add_common(p)
-    p.set_defaults(func=_cmd_primes)
-
-    p = sub.add_parser("witness", help="decomposition witness at one prime")
-    add_common(p)
-    p.add_argument("--prime", type=int, required=True)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("decompose", help="list all decompositions")
-    add_common(p)
-    p.add_argument("--prime", type=int, default=None)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("catalog", help="dump the built-in catalog")
-    add_common(p, degrees=False)
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser("verify", help="run the brute-force cross-check suites")
-    add_common(p, degrees=False)
-    p.add_argument("--max-degree", type=int, default=24)
-    p.add_argument("--max-count", type=int, default=4)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser(
-        "molien-verify", help="verify family degrees by exact Molien series"
+    command(_cmd_primes, "primes", "congruence classes of usable primes")
+    p = command(_cmd_witness, "witness", "decomposition witness at one prime")
+    p.add_argument("--prime", type=_number, required=True)
+    p = command(_cmd_decompose, "decompose", "list all decompositions")
+    p.add_argument("--prime", type=_number, default=None)
+    command(_cmd_catalog, "catalog", "dump the built-in catalog", [fmt])
+    p = command(_cmd_verify, "verify", "run the brute-force cross-check suites", [fmt])
+    p.add_argument("--max-degree", type=_number, default=24)
+    p.add_argument("--max-count", type=_number, default=4)
+    p = command(
+        _cmd_molien_verify,
+        "molien-verify",
+        "verify family degrees by exact Molien series",
+        [fmt],
     )
-    add_common(p, degrees=False)
     p.add_argument("--csv", default=None, help="also write results to a CSV file")
-    p.set_defaults(func=_cmd_molien_verify)
 
     return parser
 

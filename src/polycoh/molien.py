@@ -83,7 +83,7 @@ def _validate_group(m: int, r: int, n: int) -> None:
         raise InvalidParametersError(f"G(m={m}, r={r}, n={n}) needs m, n >= 1 and r | m")
 
 
-def _checked_order(m: int, r: int, n: int) -> int:
+def group_order(m: int, r: int, n: int) -> int:
     """The order m^n * n! / r of G(m, r, n), refused past MAX_GROUP_ORDER
     before it is computed: m^n * n! is multiplied up one factor m * i at a
     time and compared with MAX_GROUP_ORDER * r, so a few steps decide any n."""
@@ -97,11 +97,6 @@ def _checked_order(m: int, r: int, n: int) -> int:
                 f"{MAX_GROUP_ORDER} elements"
             )
     return product // r
-
-
-def group_order(m: int, r: int, n: int) -> int:
-    _validate_group(m, r, n)
-    return m**n * math.factorial(n) // r
 
 
 def _partitions(n: int, smallest: int = 1) -> Iterator[tuple[int, ...]]:
@@ -201,7 +196,7 @@ def molien_series(m: int, r: int, n: int, order: int) -> tuple[int, ...]:
     """
     if order < 1:
         raise InvalidParametersError(f"truncation order must be >= 1, got {order}")
-    size = _checked_order(m, r, n)
+    size = group_order(m, r, n)
     cells = order * m * r
     if cells > MAX_TALLY_CELLS:
         raise SizeLimitError(
@@ -246,7 +241,7 @@ def verify_degrees(m: int, r: int, n: int) -> bool:
     true series first disagree no later than the degree of
     prod (1 - t^{d_i}) itself, which the window covers in full.
     """
-    _checked_order(m, r, n)
+    group_order(m, r, n)
     degs = invariant_degrees(m, r, n)
     order = 1 + sum(degs)
     closed = [1] + [0] * (order - 1)

@@ -34,8 +34,13 @@ _RHO_BATCH = 128
 RHO_STEPS = 1 << 21
 
 
-def int_of_digits(digits: str, error: type[Exception]) -> int:
-    """``int(digits)``, or ``error`` naming Python's limit on its length."""
+def int_of_digits(text: str, error: type[Exception]) -> int:
+    """The number that ``text``, ASCII digits with spaces around them
+    allowed, spells; anything else raises ``error`` naming the text, or
+    Python's limit on an int's length."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise error(f"cannot read {text!r} as a number")
     try:
         return int(digits)
     except ValueError:

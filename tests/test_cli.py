@@ -10,7 +10,13 @@ import pytest
 import polycoh
 from polycoh.cli import build_parser, main, parse_degrees, parse_ring
 from polycoh.catalog import MAX_DEGREES, builtin
-from polycoh.errors import NotAPrimeError, RingSpecError, SizeLimitError
+from polycoh.errors import (
+    InvalidParametersError,
+    InvalidTypeError,
+    NotAPrimeError,
+    RingSpecError,
+    SizeLimitError,
+)
 from polycoh.ntheory import RHO_STEPS
 from polycoh.realizability import PrimeSpec
 from polycoh.residues import make, normalize
@@ -275,6 +281,8 @@ def test_space_separated_degrees_are_refused_with_an_error_line(capsys):
         ("primes", "--degrees", f"4,{'2' * 5000}"),
         ("check", "--degrees", "4", "--ring", f"F_{'1' * 5000}"),
         ("check", "--degrees", "4", "--ring", f"Z[1/{'1' * 5000}]"),
+        ("check", "--degrees", "4", "--ring", f"primes={'1' * 5000}"),
+        ("check", "--degrees", "4", "--ring", f"primes=mod:{'1' * 5000}:1"),
     ],
 )
 def test_numbers_past_the_digit_limit_are_refused_with_an_error_line(capsys, argv):
@@ -364,3 +372,47 @@ def test_cofinite_specs_accept_probable_primes_and_refuse_composites():
         PrimeSpec.cofinite([4])
     with pytest.raises(NotAPrimeError):
         PrimeSpec.finite([M89])
+
+
+# "\u0663" and "\u0666" are the Arabic-Indic digits 3 and 6.
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: parse_ring("primes=1_1"), RingSpecError),
+        (lambda: parse_ring("primes=mod:6:1_1"), RingSpecError),
+        (lambda: parse_ring("primes=mod:6:-1"), RingSpecError),
+        (lambda: parse_ring("primes=+5"), RingSpecError),
+        (lambda: parse_ring("F_\u0663"), RingSpecError),
+        (lambda: parse_ring(f"F_{M89}"), RingSpecError),
+        (lambda: parse_degrees("4,\u0666", builtin()), InvalidTypeError),
+        (lambda: builtin().lookup("SU(\u0663)"), InvalidParametersError),
+        (lambda: main(["witness", "--degrees", "4,6", "--prime", "1_1"]), SystemExit),
+        (lambda: main(["verify", "--max-degree", "-5"]), SystemExit),
+    ],
+)
+def test_a_number_is_ascii_digits_and_nothing_else(capsys, call, error):
+    assert parse_ring("primes=mod:6: 1, 5") == parse_ring("primes=mod:6:1,5")
+    start = time.perf_counter()
+    with pytest.raises(error) as refusal:
+        call()
+    assert time.perf_counter() - start < 1
+    if error is SystemExit:
+        err = capsys.readouterr().err
+        assert refusal.value.code == 2
+        assert "as a number" in err and "Traceback" not in err
+
+
+def test_the_grammar_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_package_leaves_the_cli_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(polycoh.__file__).parents[1]))
+    probe = (
+        "import sys, polycoh; "
+        "print(sorted({'argparse', 'polycoh.cli'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

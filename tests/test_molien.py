@@ -171,6 +171,7 @@ def test_group_order_validates_its_group():
         lambda: molien_series(2, 1, 10**5, 1),
         lambda: molien_series(2, 1, 10**6, 1),
         lambda: verify_degrees(2, 1, 10**6),
+        lambda: group_order(2, 1, 10**6),
     ],
 )
 def test_group_order_is_bounded_before_it_is_computed(call):
@@ -183,10 +184,10 @@ def test_group_order_is_bounded_before_it_is_computed(call):
 def test_group_order_limit_is_inclusive():
     # a group of up to MAX_GROUP_ORDER elements fits, one more does not
     for m, r, n in ((1, 1, 10), (5, 5, 4), (10**7, 1, 1), (2 * 10**7, 2, 1)):
-        assert molien_mod._checked_order(m, r, n) == group_order(m, r, n)
+        assert group_order(m, r, n) == m**n * math.factorial(n) // r
     for m, r, n in ((1, 1, 11), (100, 1, 5), (10**7 + 1, 1, 1)):
         with pytest.raises(SizeLimitError):
-            molien_mod._checked_order(m, r, n)
+            group_order(m, r, n)
 
 
 @pytest.mark.parametrize(
