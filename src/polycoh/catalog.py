@@ -129,11 +129,12 @@ class FamilyTemplate:
     ``primes`` and ``check`` take the parameters as arguments; ``sweep``
     takes the target's degree counts and, starting from its distinct
     degrees, yields every parameter tuple whose degrees all occur in the
-    target, and possibly some that do not fit (:meth:`Catalog.candidate_table`
-    drops those).
-    The three text fields document the row and travel with the JSON form;
-    a parameterless row's degree formula is its list of degrees.  The
-    sporadic groups are parameterless rows built by :func:`_sporadic`.
+    target, and possibly some that fail ``check`` or do not fit
+    (:meth:`Catalog.candidate_table` drops those): ``check`` alone states
+    the row's constraints.  The three text fields document the row and
+    travel with the JSON form.  A parameterless row, built by :func:`_fixed`,
+    has its degree list as its formula and a sweep that yields ``()`` only
+    when its largest degree is in the target.
     """
 
     ident: str
@@ -144,21 +145,23 @@ class FamilyTemplate:
     degree_formula: str = ""
     constraints: str = ""
     check: Callable[..., bool] = lambda: True
-    sweep: Callable[[Counter], Iterable[tuple[int, ...]]] = lambda have: [()]
+    sweep: Callable[[Counter], Iterable[tuple[int, ...]]] | None = None
     scale: tuple[int, ...] = ()
     name_re: re.Pattern = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # Derived fields: parameters shown unscaled unless told otherwise,
-        # the degree list as a parameterless row's formula, and the pattern
-        # as a regular expression with one number per parameter.
+        # the pattern as a regular expression with one number per parameter,
+        # and a parameterless row's formula (its degree list) and sweep.
         arity = self.pattern.count("{}")
         regex = re.escape(self.pattern).replace(r"\{\}", r"\s*(\d+)\s*")
         object.__setattr__(self, "scale", self.scale or (1,) * arity)
         object.__setattr__(self, "name_re", re.compile(regex))
-        if not self.degree_formula:
+        if self.sweep is None:
+            last = max(self.degrees())
             formula = ", ".join(map(str, self.degrees()))
             object.__setattr__(self, "degree_formula", formula)
+            object.__setattr__(self, "sweep", lambda have: ((),) if last in have else ())
 
     def display(self, params: tuple[int, ...]) -> str:
         return self.pattern.format(*(p * s for p, s in zip(params, self.scale)))
@@ -174,9 +177,21 @@ def _classes(m: int, residues: tuple[int, ...]) -> ResidueSet:
     return normalize(make(m, residues))
 
 
+def _fixed(
+    name: str, degrees: Iterable[int], primes: ResidueSet, condition: str = ""
+) -> FamilyTemplate:
+    """The parameterless row of one group: its degrees, and its prime set,
+    whose canonical form is the row's prime condition unless one is given."""
+    degrees = tuple(sorted(degrees))
+    if not condition:
+        shown = as_json_dict(primes)
+        condition = f"p in {shown['residues']} mod {shown['modulus']}"
+    return FamilyTemplate(name, name, lambda: degrees, lambda: primes, condition)
+
+
 # The families, in catalog order.
 _FAMILIES = (
-    FamilyTemplate("S^1", "S^1", lambda: (2,), lambda: ALL_PRIMES, "all p"),
+    _fixed("S^1", (2,), ALL_PRIMES, "all p"),
     FamilyTemplate(
         ident="SU",
         pattern="SU({})",
@@ -210,19 +225,13 @@ _FAMILIES = (
         constraints="n >= 3",
         check=lambda n: n >= 3,
         # The instance has n degrees, so n is at most the target's size.
-        sweep=lambda have: ((d // 2,) for d in have if 6 <= d <= 2 * have.total()),
+        sweep=lambda have: ((d // 2,) for d in have if d <= 2 * have.total()),
     ),
-    FamilyTemplate("G_2", "G_2", lambda: (4, 12), lambda: _P_GE_3, "p >= 3"),
-    FamilyTemplate("F_4", "F_4", lambda: (4, 12, 16, 24), lambda: _P_GE_5, "p >= 5"),
-    FamilyTemplate(
-        "E_6", "E_6", lambda: (4, 10, 12, 16, 18, 24), lambda: _P_GE_5, "p >= 5"
-    ),
-    FamilyTemplate(
-        "E_7", "E_7", lambda: (4, 12, 16, 20, 24, 28, 36), lambda: _P_GE_5, "p >= 5"
-    ),
-    FamilyTemplate(
-        "E_8", "E_8", lambda: (4, 16, 24, 28, 36, 40, 48, 60), lambda: _P_GE_7, "p >= 7"
-    ),
+    _fixed("G_2", (4, 12), _P_GE_3, "p >= 3"),
+    _fixed("F_4", (4, 12, 16, 24), _P_GE_5, "p >= 5"),
+    _fixed("E_6", (4, 10, 12, 16, 18, 24), _P_GE_5, "p >= 5"),
+    _fixed("E_7", (4, 12, 16, 20, 24, 28, 36), _P_GE_5, "p >= 5"),
+    _fixed("E_8", (4, 16, 24, 28, 36, 40, 48, 60), _P_GE_7, "p >= 7"),
     FamilyTemplate(
         ident="G(m,r,n)",
         pattern="G({},{},{})",
@@ -238,12 +247,12 @@ _FAMILIES = (
         # last degree 2mn/r fixes r.
         sweep=lambda have: (
             (m, 2 * m * n // last, n)
-            for m in (d // 2 for d in have if d >= 6)
+            for m in (d // 2 for d in have)
             for n in takewhile(
                 lambda n: n <= have.total() and 2 * m * (n - 1) in have, count(2)
             )
             for last in have
-            if 2 * m * n % last == 0 and m % (2 * m * n // last) == 0
+            if 2 * m * n % last == 0
         ),
     ),
     FamilyTemplate(
@@ -256,9 +265,7 @@ _FAMILIES = (
         degree_formula="4, 2m",
         constraints="m >= 5, m != 6",
         check=lambda m: m >= 5 and m != 6,
-        sweep=lambda have: (
-            (d // 2,) for d in have if d >= 10 and d != 12 and 4 in have
-        ),
+        sweep=lambda have: ((d // 2,) for d in have if 4 in have),
     ),
     FamilyTemplate(
         ident="C",
@@ -269,7 +276,7 @@ _FAMILIES = (
         degree_formula="2m",
         constraints="m >= 3",
         check=lambda m: m >= 3,
-        sweep=lambda have: ((d // 2,) for d in have if d >= 6),
+        sweep=lambda have: ((d // 2,) for d in have),
     ),
 )
 _FAMILY_BY_IDENT = {f.ident: f for f in _FAMILIES}
@@ -296,16 +303,7 @@ _SPORADIC_ROWS = (
 )
 
 
-def _sporadic(name: str, degrees: Iterable[int], primes: ResidueSet) -> FamilyTemplate:
-    """The parameterless row of one sporadic group: its degrees, and its
-    prime set, whose canonical form is the row's prime condition."""
-    degrees = tuple(sorted(degrees))
-    shown = as_json_dict(primes)
-    condition = f"p in {shown['residues']} mod {shown['modulus']}"
-    return FamilyTemplate(name, name, lambda: degrees, lambda: primes, condition)
-
-
-_SPORADICS = tuple(_sporadic(*row) for row in _SPORADIC_ROWS)
+_SPORADICS = tuple(_fixed(*row) for row in _SPORADIC_ROWS)
 
 
 @dataclass(frozen=True)
@@ -367,15 +365,15 @@ class Catalog:
 
         Finite and complete: every degree of a fitting instance occurs in the
         target, so the sweeps, which start from the target's distinct degrees,
-        yield a superset of the fitting instances, and the fit test, which
-        builds each row's Counter, keeps exactly those.  A table of more
-        than MAX_TABLE_ENTRIES degree entries is refused.
+        yield a superset of the fitting instances, and the row's ``check`` and
+        the fit test, which builds the Counter, keep exactly those.  A table
+        of more than MAX_TABLE_ENTRIES degree entries is refused.
         """
         need = DegreeMultiset.of(target).counter()
         out = []
         entries = 0
         for row in self.families + self.sporadics:
-            for params in row.sweep(need):
+            for params in (p for p in row.sweep(need) if row.check(*p)):
                 degrees = Counter(row.degrees(*params))
                 if all(need[d] >= c for d, c in degrees.items()):
                     entries += len(degrees)
@@ -513,7 +511,7 @@ def import_json(text: str) -> Catalog:
         res = primes["residues"]
         if mod < 1 or any(not isinstance(r, int) or not 0 <= r < mod for r in res):
             raise CatalogError(f"sporadic {name!r}: malformed prime set")
-        sporadics.append(_sporadic(name, degrees, normalize(make(mod, res))))
+        sporadics.append(_fixed(name, degrees, normalize(make(mod, res))))
 
     cat = Catalog(families=tuple(families), sporadics=tuple(sporadics))
     for sp in cat.sporadics:

@@ -12,11 +12,23 @@ prime 3, the generating patterns are those plus the even spin patterns,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 from .catalog import Catalog, DegreeMultiset
+from .errors import SizeLimitError
 from .realizability import PrimeSpec, realizable_at_prime, realizable_over
+
+# The most types one suite may check: C(max_degree // 2 + max_count,
+# max_count), the multisets even_degree_multisets yields.  Degrees up to
+# 40, at most 4 of them, make 10,626 types, checked in 2-3 s on 2 vCPUs.
+MAX_VERIFY_TYPES = 12_000
+
+# The most degrees of a type a suite may check: the integral suite's types
+# have up to max_count, the p=3 suite's generator SU(max_degree // 2) has
+# max_degree // 2 - 1, and the engine's cost grows faster than the size.
+MAX_VERIFY_SIZE = 60
 
 
 @dataclass
@@ -41,6 +53,23 @@ class SuiteResult:
     def summary(self) -> str:
         status = "ok" if self.passed else f"{len(self.mismatches)} mismatches"
         return f"{self.name}: {self.checked} checked, {status}"
+
+
+def count_types(max_degree: int, max_count: int) -> int:
+    """How many types even_degree_multisets yields, C(max_degree // 2 +
+    max_count, max_count), refused before any is built past MAX_VERIFY_SIZE
+    degrees or MAX_VERIFY_TYPES types.  The size is checked first, so the
+    count is taken of small numbers only."""
+    k = max(max_degree // 2, 0)
+    shape = f"degrees up to {max_degree}, at most {max_count} of them, make"
+    if max(max_count, k - 1) > MAX_VERIFY_SIZE:
+        raise SizeLimitError(
+            f"{shape} types of more than MAX_VERIFY_SIZE = {MAX_VERIFY_SIZE} degrees"
+        )
+    total = math.comb(k + max_count, max_count) if max_count >= 0 else 0
+    if total > MAX_VERIFY_TYPES:
+        raise SizeLimitError(f"{shape} more than MAX_VERIFY_TYPES = {MAX_VERIFY_TYPES} types")
+    return total
 
 
 def even_degree_multisets(max_degree: int, max_count: int):
@@ -107,6 +136,7 @@ def check_integral_realizability(
     cat: Catalog, max_degree: int = 24, max_count: int = 4
 ) -> SuiteResult:
     """Engine verdict over all primes vs. the {2}/SU/Sp union monoid."""
+    count_types(max_degree, max_count)
     result = SuiteResult(name="integral realizability")
     allowed = multiset_monoid(classical_generator_types(max_degree), max_count)
     spec = PrimeSpec.all_primes()
@@ -125,6 +155,7 @@ def check_p3_realizability(
     multisets the engine verdict at 3 must coincide with membership in the
     union monoid of those generators.
     """
+    count_types(max_degree, max_count)
     result = SuiteResult(name="p=3 realizability")
     gens = p3_generator_types(max_degree)
     for gen in gens:

@@ -20,6 +20,7 @@ from polycoh.errors import (
 from polycoh.ntheory import RHO_STEPS
 from polycoh.realizability import PrimeSpec
 from polycoh.residues import make, normalize
+from polycoh.verify import MAX_VERIFY_TYPES, count_types, even_degree_multisets
 
 
 # ---------------------------------------------------------------- ring parsing
@@ -241,6 +242,32 @@ def test_verify_command_small(capsys):
     assert code == 0
     assert "0 mismatches" not in out  # summaries say "ok" when clean
     assert out.count("ok") == 2
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (("--max-degree", "40", "--max-count", "6"), "MAX_VERIFY_TYPES = 12000"),
+        (("--max-degree", "42", "--max-count", "4"), "MAX_VERIFY_TYPES = 12000"),
+        (("--max-count", "1000000000"), "MAX_VERIFY_SIZE = 60"),
+        (("--max-degree", "124", "--max-count", "1"), "MAX_VERIFY_SIZE = 60"),
+    ],
+)
+def test_verify_past_its_limits_is_refused_quickly(capsys, argv, limit):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and limit in err
+
+
+def test_verify_counts_the_types_it_enumerates():
+    for max_degree in range(10):
+        for max_count in range(-1, 5):
+            types = list(even_degree_multisets(max_degree, max_count))
+            assert count_types(max_degree, max_count) == len(types)
+    assert count_types(40, 4) == 10626 <= MAX_VERIFY_TYPES
+    assert count_types(122, 1) == 62
 
 
 def test_molien_verify_csv(tmp_path, capsys):
